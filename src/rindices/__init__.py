@@ -14,6 +14,7 @@ from .errors import (
     OrderBelowValidityError,
     OrderTooLargeError,
     OrderTooSmallError,
+    TrailingDataError,
     TruncatedDataError,
     VertexOutOfRangeError,
 )

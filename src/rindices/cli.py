@@ -2,14 +2,13 @@
 
 Subcommands: compute, rdegrees, generate, verify, batch. Parse failures
 exit with code 2 and disconnected inputs with code 3; diagnostics go to
-stderr. Batch mode isolates per-line failures and produces byte-identical
-CSV regardless of the parallelism level.
+stderr. Batch mode isolates per-line failures and writes one CSV row per
+input line, in input order, from a single thread.
 """
 
 import argparse
 import csv
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import families as fam
 from .degrees import r_degree_table
@@ -34,12 +33,9 @@ INDEX_NAMES = ["r1", "r2", "r3", "abc", "ga", "h", "chi",
 BATCH_CSV_HEADER = ["name", "n", "m"] + INDEX_NAMES + ["status"]
 
 
-def _fmt_real(x):
-    return f"{x:.9g}"
-
-
-def _fmt_value(name, value):
-    return str(value) if name in ("r1", "r2", "r3") else _fmt_real(value)
+def _fmt_value(value):
+    """Integers exactly, reals to 9 significant digits."""
+    return str(value) if isinstance(value, int) else f"{value:.9g}"
 
 
 def _infer_format(path, flag):
@@ -93,7 +89,7 @@ def cmd_compute(args):
             return EXIT_USAGE
     print(f"n={report.n} m={report.m}")
     for name in selected:
-        print(f"{name}={_fmt_value(name, getattr(report, name))}")
+        print(f"{name}={_fmt_value(getattr(report, name))}")
     return 0
 
 
@@ -109,8 +105,8 @@ def cmd_rdegrees(args):
         return EXIT_DISCONNECTED
     table = r_degree_table(g)
     print("vertex deg sum_deg mult_deg r")
-    for v in range(g.n):
-        print(f"{v} {g.degree(v)} {table.sum_degrees[v]} "
+    for v, d in enumerate(g.degrees):
+        print(f"{v} {d} {table.sum_degrees[v]} "
               f"{table.mult_degrees[v]} {table.r_degrees[v]}")
     return 0
 
@@ -180,7 +176,7 @@ def _batch_row(item):
     except GraphError as exc:
         return [name, str(g.n), str(g.m)] + [""] * len(INDEX_NAMES) + [
             f"ParseError({exc})"]
-    values = [_fmt_value(n, getattr(report, n)) for n in INDEX_NAMES]
+    values = [_fmt_value(getattr(report, n)) for n in INDEX_NAMES]
     return [name, str(report.n), str(report.m)] + values + ["Ok"]
 
 
@@ -197,12 +193,7 @@ def cmd_batch(args):
         if not line or line == ">>graph6<<":
             continue
         items.append((f"line{lineno}", line))
-    jobs = max(1, args.jobs)
-    if jobs == 1:
-        rows = [_batch_row(item) for item in items]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_batch_row, items))
+    rows = [_batch_row(item) for item in items]
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out \
         else sys.stdout
     try:
@@ -252,7 +243,9 @@ def build_parser():
     p = sub.add_parser("batch", help="index a graph6 corpus to CSV")
     p.add_argument("path")
     p.add_argument("--out")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility and ignored; batch "
+                        "always runs in one thread")
     p.set_defaults(func=cmd_batch)
 
     return parser

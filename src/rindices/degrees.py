@@ -23,12 +23,12 @@ class RDegreeTable:
 
 def sum_degree(g, v):
     """Sum of the degrees of v's neighbors (0 for an isolated vertex)."""
-    return sum(g.degree(u) for u in g.neighbors(v))
+    return sum(g.degrees[u] for u in g.neighbors(v))
 
 
 def mult_degree(g, v):
     """Product of the degrees of v's neighbors (empty product is 1)."""
-    return math.prod(g.degree(u) for u in g.neighbors(v))
+    return math.prod(g.degrees[u] for u in g.neighbors(v))
 
 
 def r_degree(g, v):
@@ -38,17 +38,13 @@ def r_degree(g, v):
 
 def r_degree_table(g):
     """All three degree quantities for every vertex, in id order."""
-    degs = [g.degree(v) for v in range(g.n)]
+    degs = g.degrees
     sums = []
     mults = []
-    for v in range(g.n):
-        s = 0
-        p = 1
-        for u in g.neighbors(v):
-            s += degs[u]
-            p *= degs[u]
-        sums.append(s)
-        mults.append(p)
+    for neighbors in g.adjacency:
+        d = [degs[u] for u in neighbors]
+        sums.append(sum(d))
+        mults.append(math.prod(d))
     return RDegreeTable(
         sum_degrees=tuple(sums),
         mult_degrees=tuple(mults),

@@ -52,5 +52,10 @@ class TruncatedDataError(Graph6Error):
     """A graph6 line ends before all adjacency bits are present."""
 
 
+class TrailingDataError(Graph6Error):
+    """A graph6 line carries data after its adjacency bits: more bytes,
+    or padding bits that are not zero."""
+
+
 class OrderBelowValidityError(GraphError):
     """A closed form was evaluated below its claimed validity range."""

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .errors import OrderBelowValidityError
 from .graph import Family, generate_family
-from .indices import r1_index, r2_index, r3_index
+from .indices import full_report
 
 
 class Source(Enum):
@@ -38,9 +38,6 @@ class RIndex(Enum):
     R1 = "r1"
     R2 = "r2"
     R3 = "r3"
-
-
-_INDEX_FN = {RIndex.R1: r1_index, RIndex.R2: r2_index, RIndex.R3: r3_index}
 
 
 @dataclass(frozen=True)
@@ -174,30 +171,27 @@ def closed_form(variant, n):
 def verify_family(family, n_range):
     """Compare every recorded claim for a family against direct computation.
 
-    n_range is an iterable of orders. Each (index, n) pair uses a single
-    directly computed value shared by all sources; rows below a variant's
-    validity minimum are skipped. Rows are sorted by (index, n, source).
+    n_range is an iterable of orders. The graph of each order is built
+    and indexed once, and that report is shared by every claim at that
+    order; rows below a variant's validity minimum are skipped. Rows are
+    sorted by (index, n, source).
     """
     family = Family(family)
     variants = variants_for(family)
-    orders = sorted(set(n_range))
-    computed_cache = {}
     rows = []
-    for n in orders:
-        for variant in variants:
-            if n < variant.min_n:
-                continue
-            key = (variant.index, n)
-            if key not in computed_cache:
-                g = generate_family(family, n)
-                computed_cache[key] = _INDEX_FN[variant.index](g)
+    for n in sorted(set(n_range)):
+        valid = [v for v in variants if n >= v.min_n]
+        if not valid:
+            continue
+        report = full_report(generate_family(family, n))
+        for variant in valid:
             rows.append(DiscrepancyRow(
                 family=family,
                 index=variant.index,
                 n=n,
                 source=variant.source,
                 claimed=variant.evaluate(n),
-                computed=computed_cache[key],
+                computed=getattr(report, variant.index.value),
             ))
     source_order = [Source.PAPER_STATEMENT, Source.PAPER_PROOF,
                     Source.CORRECTED]

@@ -7,6 +7,7 @@ check it themselves.
 """
 
 import random
+import re
 from enum import Enum
 
 from .errors import (
@@ -16,6 +17,7 @@ from .errors import (
     LoopEdgeError,
     OrderTooLargeError,
     OrderTooSmallError,
+    TrailingDataError,
     TruncatedDataError,
     VertexOutOfRangeError,
 )
@@ -42,7 +44,7 @@ FAMILY_MIN_ORDER = {
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("_n", "_adjacency", "_edges")
+    __slots__ = ("_n", "_edges", "_adjacency", "_degrees")
 
     def __init__(self, n, edges):
         """Build a graph from a vertex count and an iterable of edge pairs.
@@ -52,8 +54,6 @@ class Graph:
         """
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        adjacency = [set() for _ in range(n)]
-        canonical = []
         seen = set()
         for u, v in edges:
             if not (0 <= u < n):
@@ -66,12 +66,16 @@ class Graph:
             if key in seen:
                 raise DuplicateEdgeError(f"edge {key} appears more than once")
             seen.add(key)
-            canonical.append(key)
-            adjacency[u].add(v)
-            adjacency[v].add(u)
         self._n = n
-        self._adjacency = tuple(frozenset(s) for s in adjacency)
-        self._edges = tuple(sorted(canonical))
+        self._edges = tuple(sorted(seen))
+        # Walking the sorted edges appends every neighbour list in
+        # ascending order, so no list needs sorting of its own.
+        adjacency = [[] for _ in range(n)]
+        for u, v in self._edges:
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+        self._adjacency = tuple(map(tuple, adjacency))
+        self._degrees = tuple(map(len, adjacency))
 
     @property
     def n(self):
@@ -83,19 +87,29 @@ class Graph:
         """Number of edges."""
         return len(self._edges)
 
+    @property
+    def adjacency(self):
+        """Sorted neighbour tuple of every vertex, indexed by vertex id."""
+        return self._adjacency
+
+    @property
+    def degrees(self):
+        """Degree of every vertex, indexed by vertex id."""
+        return self._degrees
+
     def edges(self):
         """Edges as (u, v) with u < v, sorted lexicographically."""
         return self._edges
 
     def neighbors(self, v):
-        """Open neighborhood of v as a frozenset."""
+        """Open neighborhood of v as a sorted tuple."""
         self._check_vertex(v)
         return self._adjacency[v]
 
     def degree(self, v):
         """Number of edges incident to v."""
         self._check_vertex(v)
-        return len(self._adjacency[v])
+        return self._degrees[v]
 
     def _check_vertex(self, v):
         if not (0 <= v < self._n):
@@ -127,12 +141,13 @@ def first_unreachable_vertex(g):
     """Smallest vertex id not reachable from vertex 0, or None if connected."""
     if g.n <= 1:
         return None
+    adjacency = g.adjacency
     seen = [False] * g.n
     seen[0] = True
     stack = [0]
     while stack:
         u = stack.pop()
-        for w in g.neighbors(u):
+        for w in adjacency[u]:
             if not seen[w]:
                 seen[w] = True
                 stack.append(w)
@@ -190,12 +205,17 @@ def parse_edge_list(text):
     "n <count>" declares the order (allowing isolated trailing vertices).
     Without a header, vertex ids are compacted to a dense 0-based range.
     """
-    g, _ = parse_edge_list_with_mapping(text)
-    return g
+    return _parse_edge_list(text)[0]
 
 
 def parse_edge_list_with_mapping(text):
     """As parse_edge_list, also returning {original id: internal id}."""
+    g, mapping = _parse_edge_list(text)
+    return g, ({i: i for i in range(g.n)} if mapping is None else mapping)
+
+
+def _parse_edge_list(text):
+    """The graph and its id mapping, which is None under a header."""
     declared_n = None
     raw_edges = []
     first_data_line = True
@@ -239,8 +259,7 @@ def parse_edge_list_with_mapping(text):
         raw_edges.append((u, v))
 
     if declared_n is not None:
-        mapping = {i: i for i in range(declared_n)}
-        return Graph(declared_n, raw_edges), mapping
+        return Graph(declared_n, raw_edges), None
 
     ids = sorted({u for e in raw_edges for u in e})
     mapping = {orig: i for i, orig in enumerate(ids)}
@@ -256,57 +275,72 @@ def write_edge_list(g):
 
 
 _G6_HEADER = ">>graph6<<"
+_G6_INVALID = re.compile(r"[^?-~]")
+# The six bits each graph6 byte 63..126 carries, most significant first.
+_G6_BITS = {b: format(b - 63, "06b") for b in range(63, 127)}
 
 
 def parse_graph6(line):
     """Decode one graph from its graph6 string (short form, n < 63, plus
-    the standard long forms up to the printable limit)."""
+    the standard long forms up to the printable limit).
+
+    The string must end with the last adjacency byte its order needs, and
+    the padding bits of that byte must be zero.
+    """
     line = line.strip()
     if line.startswith(_G6_HEADER):
         line = line[len(_G6_HEADER):]
     if not line:
         raise TruncatedDataError("empty graph6 line")
-    data = []
-    for ch in line:
-        b = ord(ch)
-        if not (63 <= b <= 126):
-            raise InvalidCharacterError(
-                f"byte {b} ({ch!r}) outside graph6 range 63..126"
-            )
-        data.append(b - 63)
+    bad = _G6_INVALID.search(line)
+    if bad:
+        ch = bad.group()
+        raise InvalidCharacterError(
+            f"byte {ord(ch)} ({ch!r}) outside graph6 range 63..126"
+        )
+    data = line.encode("ascii")
+    bits = "".join([_G6_BITS[b] for b in data])
 
-    if data[0] < 63:
-        n = data[0]
+    if data[0] < 126:
+        n = data[0] - 63
         pos = 1
-    elif len(data) >= 4 and data[1] < 63:
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
+    elif len(data) >= 4 and data[1] < 126:
+        n = int(bits[6:24], 2)
         pos = 4
     elif len(data) >= 8:
-        n = 0
-        for k in data[2:8]:
-            n = (n << 6) | k
+        n = int(bits[12:48], 2)
         pos = 8
     else:
         raise TruncatedDataError("incomplete graph6 order prefix")
 
     nbits = n * (n - 1) // 2
     needed = (nbits + 5) // 6
-    if len(data) - pos < needed:
+    got = len(data) - pos
+    if got < needed:
         raise TruncatedDataError(
-            f"need {needed} adjacency bytes for n={n}, got {len(data) - pos}"
+            f"need {needed} adjacency bytes for n={n}, got {got}"
         )
-    bits = []
-    for k in data[pos:pos + needed]:
-        for shift in (5, 4, 3, 2, 1, 0):
-            bits.append((k >> shift) & 1)
-
+    if got > needed:
+        raise TrailingDataError(
+            f"{got - needed} bytes after the adjacency data for n={n}"
+        )
+    bits = bits[6 * pos:]
+    if "1" in bits[nbits:]:
+        raise TrailingDataError(
+            f"nonzero padding bits after the {nbits} adjacency bits"
+        )
+    # Bit k is the pair (u, v), u < v, with k = v(v-1)/2 + u; `first` is
+    # the bit of (0, v).
     edges = []
-    i = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[i]:
-                edges.append((u, v))
-            i += 1
+    v = 1
+    first = 0
+    k = bits.find("1")
+    while k >= 0:
+        while k >= first + v:
+            first += v
+            v += 1
+        edges.append((k - first, v))
+        k = bits.find("1", k + 1)
     return Graph(n, edges)
 
 
@@ -317,17 +351,10 @@ def write_graph6(g):
             f"short-form graph6 supports n < 63, got {g.n}"
         )
     n = g.n
-    adj = g
-    bits = []
-    for v in range(1, n):
-        for u in range(v):
-            bits.append(1 if v in adj.neighbors(u) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(n + 63)]
-    for i in range(0, len(bits), 6):
-        k = 0
-        for b in bits[i:i + 6]:
-            k = (k << 1) | b
-        out.append(chr(k + 63))
-    return "".join(out)
+    nbits = n * (n - 1) // 2
+    bits = bytearray(b"0" * (nbits + -nbits % 6))
+    for u, v in g.edges():
+        bits[v * (v - 1) // 2 + u] = ord("1")
+    return chr(n + 63) + "".join(
+        chr(63 + int(bits[i:i + 6], 2)) for i in range(0, len(bits), 6)
+    )

@@ -1,10 +1,14 @@
-"""R indices (exact integers) and classical degree-based indices (floats).
+"""R indices and classical degree-based indices, computed in one pass.
 
-Every index requires a connected graph with at least two vertices; the
-definitions do not extend to disconnected input and summing over
-components would be an invention, so that is a hard error. Real-valued
-indices iterate edges in sorted order so results are reproducible
-bit-for-bit on a given platform.
+R1-R3 and the Zagreb indices are exact integers; the other indices are
+floats. Every index requires a connected graph with at least two
+vertices; the definitions do not extend to disconnected input and
+summing over components would be an invention, so that is a hard error.
+
+full_report holds the only copy of each formula; the per-index functions
+select one field of its result. Float addition is not associative, so
+real-valued indices are summed over the edges in sorted order: a graph
+then gives the same bits however its edges were listed on input.
 """
 
 import math
@@ -17,7 +21,8 @@ from .graph import first_unreachable_vertex
 
 @dataclass(frozen=True)
 class IndexReport:
-    """All indices of one graph. r1/r2/r3 are exact ints, the rest floats."""
+    """All indices of one graph. r1/r2/r3 and zagreb1/zagreb2 are exact
+    ints, the rest floats."""
 
     n: int
     m: int
@@ -28,8 +33,8 @@ class IndexReport:
     ga: float
     h: float
     chi: float
-    zagreb1: float
-    zagreb2: float
+    zagreb1: int
+    zagreb2: int
     randic: float
 
 
@@ -43,102 +48,76 @@ def _require_valid(g):
 
 def r1_index(g):
     """Sum of squared R degrees over all vertices."""
-    _require_valid(g)
-    table = r_degree_table(g)
-    return sum(r * r for r in table.r_degrees)
+    return full_report(g).r1
 
 
 def r2_index(g):
     """Sum over edges of the product of endpoint R degrees."""
-    _require_valid(g)
-    r = r_degree_table(g).r_degrees
-    return sum(r[u] * r[v] for u, v in g.edges())
+    return full_report(g).r2
 
 
 def r3_index(g):
     """Sum over edges of the sum of endpoint R degrees."""
-    _require_valid(g)
-    r = r_degree_table(g).r_degrees
-    return sum(r[u] + r[v] for u, v in g.edges())
+    return full_report(g).r3
 
 
 def abc_index(g):
     """Atom-bond connectivity index."""
-    _require_valid(g)
-    total = 0.0
-    for u, v in g.edges():
-        du, dv = g.degree(u), g.degree(v)
-        total += math.sqrt((du + dv - 2) / (du * dv))
-    return total
+    return full_report(g).abc
 
 
 def ga_index(g):
     """Geometric-arithmetic index."""
-    _require_valid(g)
-    total = 0.0
-    for u, v in g.edges():
-        du, dv = g.degree(u), g.degree(v)
-        total += 2.0 * math.sqrt(du * dv) / (du + dv)
-    return total
+    return full_report(g).ga
 
 
 def h_index(g):
     """Harmonic index."""
-    _require_valid(g)
-    total = 0.0
-    for u, v in g.edges():
-        total += 2.0 / (g.degree(u) + g.degree(v))
-    return total
+    return full_report(g).h
 
 
 def chi_index(g):
     """Sum-connectivity index."""
-    _require_valid(g)
-    total = 0.0
-    for u, v in g.edges():
-        total += 1.0 / math.sqrt(g.degree(u) + g.degree(v))
-    return total
+    return full_report(g).chi
 
 
 def classical_extras(g):
     """First Zagreb, second Zagreb and Randic indices, in that order."""
-    _require_valid(g)
-    zagreb1 = float(sum(g.degree(v) ** 2 for v in range(g.n)))
-    zagreb2 = 0.0
-    randic = 0.0
-    for u, v in g.edges():
-        du, dv = g.degree(u), g.degree(v)
-        zagreb2 += du * dv
-        randic += 1.0 / math.sqrt(du * dv)
-    return zagreb1, zagreb2, randic
+    report = full_report(g)
+    return report.zagreb1, report.zagreb2, report.randic
 
 
 def full_report(g):
     """All indices of one graph, with R degrees computed once and shared."""
     _require_valid(g)
+    deg = g.degrees
     r = r_degree_table(g).r_degrees
-    r1 = sum(x * x for x in r)
     r2 = 0
-    r3 = 0
+    zagreb2 = 0
     abc = 0.0
     ga = 0.0
     h = 0.0
     chi = 0.0
-    zagreb2 = 0.0
     randic = 0.0
     for u, v in g.edges():
         r2 += r[u] * r[v]
-        r3 += r[u] + r[v]
-        du, dv = g.degree(u), g.degree(v)
-        abc += math.sqrt((du + dv - 2) / (du * dv))
-        ga += 2.0 * math.sqrt(du * dv) / (du + dv)
-        h += 2.0 / (du + dv)
-        chi += 1.0 / math.sqrt(du + dv)
-        zagreb2 += du * dv
-        randic += 1.0 / math.sqrt(du * dv)
-    zagreb1 = float(sum(g.degree(v) ** 2 for v in range(g.n)))
+        du, dv = deg[u], deg[v]
+        s = du + dv
+        p = du * dv
+        zagreb2 += p
+        abc += math.sqrt((s - 2) / p)
+        ga += 2.0 * math.sqrt(p) / s
+        h += 2.0 / s
+        chi += 1.0 / math.sqrt(s)
+        randic += 1.0 / math.sqrt(p)
     return IndexReport(
-        n=g.n, m=g.m, r1=r1, r2=r2, r3=r3,
+        n=g.n, m=g.m,
+        r1=sum(x * x for x in r),
+        r2=r2,
+        # Each edge adds r(u) + r(v), so r(v) is counted deg(v) times.
+        r3=sum(d * x for d, x in zip(deg, r)),
         abc=abc, ga=ga, h=h, chi=chi,
-        zagreb1=zagreb1, zagreb2=zagreb2, randic=randic,
+        zagreb1=sum(d * d for d in deg),
+        zagreb2=zagreb2,
+        randic=randic,
     )

@@ -58,6 +58,17 @@ class TestCompute:
         result = run_cli("compute", str(path))
         assert result.returncode == 2
 
+    def test_zagreb_printed_exactly(self, tmp_path):
+        # Both Zagreb values of this star pass 10^9, where 9 significant
+        # digits would no longer hold them.
+        path = tmp_path / "star.edges"
+        run_cli("generate", "star", "40000", "--out", str(path))
+        result = run_cli("compute", str(path), "--indices",
+                         "zagreb1,zagreb2")
+        assert result.returncode == 0
+        assert result.stdout.split() == [
+            "n=40000", "m=39999", "zagreb1=1599960000", "zagreb2=1599920001"]
+
     def test_graph6_inferred_from_extension(self, tmp_path):
         path = tmp_path / "c6.g6"
         path.write_text(write_graph6(generate_family(Family.CYCLE, 6)) + "\n")

@@ -19,6 +19,7 @@ from rindices import (
     report_to_csv,
     verify_family,
 )
+from rindices import families
 from rindices.families import variants_for
 
 
@@ -115,6 +116,17 @@ class TestVerifyFamily:
         for row in report.rows:
             by_pair.setdefault((row.index, row.n), set()).add(row.computed)
         assert all(len(vals) == 1 for vals in by_pair.values())
+
+    def test_one_build_per_order(self, monkeypatch):
+        orders = []
+
+        def counting(family, n):
+            orders.append(n)
+            return generate_family(family, n)
+
+        monkeypatch.setattr(families, "generate_family", counting)
+        verify_family(Family.COMPLETE, range(3, 10))
+        assert orders == list(range(3, 10))
 
     def test_cycle_row_count(self):
         # one source per index for cycles

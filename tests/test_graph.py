@@ -9,10 +9,12 @@ from rindices import (
     DuplicateEdgeError,
     EdgeListSyntaxError,
     Family,
+    GraphError,
     InvalidCharacterError,
     LoopEdgeError,
     OrderTooLargeError,
     OrderTooSmallError,
+    TrailingDataError,
     TruncatedDataError,
     VertexOutOfRangeError,
     build_graph,
@@ -54,6 +56,8 @@ class TestBuildGraph:
         for u in range(g.n):
             for v in g.neighbors(u):
                 assert u in g.neighbors(v)
+            assert g.degrees[u] == g.degree(u)
+            assert g.adjacency[u] == tuple(sorted(g.neighbors(u)))
 
     def test_degree_out_of_range(self):
         g = build_graph(2, [(0, 1)])
@@ -201,6 +205,12 @@ class TestGraph6:
         with pytest.raises(TruncatedDataError):
             parse_graph6("D?")
 
+    @pytest.mark.parametrize("text", ["Ch???", "A_?", "A`", "Ah", "D?|"])
+    def test_trailing_data_rejected(self, text):
+        # Bytes after the adjacency data, or set padding bits.
+        with pytest.raises(TrailingDataError):
+            parse_graph6(text)
+
     def test_order_too_large_for_writer(self):
         g = generate_random_connected(63, 0.0, seed=0)
         with pytest.raises(OrderTooLargeError):
@@ -231,3 +241,41 @@ class TestGraph6:
     def test_round_trip_property(self, n, seed):
         g = generate_random_connected(n, 0.3, seed)
         assert parse_graph6(write_graph6(g)) == g
+
+
+G6_CHARS = st.characters(min_codepoint=63, max_codepoint=126)
+
+
+@st.composite
+def graph6_like(draw):
+    """Strings of graph6 bytes. Half are arbitrary; the other half hold an
+    order prefix and exactly the adjacency bytes it needs, drawn at random
+    so that padding bits are often set, plus up to three trailing bytes."""
+    if draw(st.booleans()):
+        return draw(st.text(alphabet=G6_CHARS, max_size=40))
+    n = draw(st.one_of(st.integers(0, 20), st.integers(63, 66)))
+    if n < 63:
+        prefix = chr(63 + n)
+    else:
+        prefix = "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
+    needed = (n * (n - 1) // 2 + 5) // 6
+    body = draw(st.text(alphabet=G6_CHARS, min_size=needed, max_size=needed))
+    return prefix + body + draw(st.text(alphabet=G6_CHARS, max_size=3))
+
+
+@given(graph6_like())
+@settings(max_examples=300, deadline=None)
+def test_graph6_decoder_agrees_with_networkx(text):
+    """parse_graph6 returns the graph networkx decodes, or raises a
+    GraphError; it never accepts what networkx rejects."""
+    try:
+        expected = nx.from_graph6_bytes(text.encode("ascii"))
+    except Exception:
+        expected = None
+    try:
+        g = parse_graph6(text)
+    except GraphError:
+        return
+    assert expected is not None
+    assert g.n == expected.number_of_nodes()
+    assert set(g.edges()) == {(min(e), max(e)) for e in expected.edges()}
