@@ -119,11 +119,7 @@ def cmd_generate(args):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     fmt = args.format or "edgelist"
-    try:
-        text = write_graph6(g) + "\n" if fmt == "graph6" else write_edge_list(g)
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    text = write_graph6(g) + "\n" if fmt == "graph6" else write_edge_list(g)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(text)

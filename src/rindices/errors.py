@@ -22,7 +22,7 @@ class OrderTooSmallError(GraphError):
 
 
 class OrderTooLargeError(GraphError):
-    """Graph order exceeds what the short-form graph6 encoding supports."""
+    """A declared graph order exceeds the largest one accepted."""
 
 
 class DisconnectedGraphError(GraphError):

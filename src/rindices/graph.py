@@ -9,6 +9,7 @@ check it themselves.
 import random
 import re
 from enum import Enum
+from operator import itemgetter
 
 from .errors import (
     DuplicateEdgeError,
@@ -42,40 +43,44 @@ FAMILY_MIN_ORDER = {
 
 
 class Graph:
-    """Immutable simple undirected graph on vertices 0..n-1."""
+    """Immutable simple undirected graph on vertices 0..n-1.
 
-    __slots__ = ("_n", "_edges", "_adjacency", "_degrees")
+    The graph is stored once, as a sorted neighbour tuple per vertex; the
+    edge tuple is derived from those tuples on first use and cached.
+    """
+
+    __slots__ = ("_n", "_m", "_adjacency", "_degrees", "_edges")
 
     def __init__(self, n, edges):
         """Build a graph from a vertex count and an iterable of edge pairs.
 
         Raises LoopEdgeError, DuplicateEdgeError or VertexOutOfRangeError
-        on malformed input; duplicates are never silently merged.
+        on malformed input; duplicates are never silently merged. With
+        several faults, the first in input order decides the error.
         """
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        seen = set()
-        for u, v in edges:
-            if not (0 <= u < n):
-                raise VertexOutOfRangeError(f"vertex {u} not in 0..{n - 1}")
-            if not (0 <= v < n):
-                raise VertexOutOfRangeError(f"vertex {v} not in 0..{n - 1}")
-            if u == v:
-                raise LoopEdgeError(f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise DuplicateEdgeError(f"edge {key} appears more than once")
-            seen.add(key)
-        self._n = n
-        self._edges = tuple(sorted(seen))
-        # Walking the sorted edges appends every neighbour list in
-        # ascending order, so no list needs sorting of its own.
+        edges = list(edges)
         adjacency = [[] for _ in range(n)]
-        for u, v in self._edges:
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        self._adjacency = tuple(map(tuple, adjacency))
+        try:
+            for u, v in edges:
+                adjacency[u].append(v)
+                adjacency[v].append(u)
+        except IndexError:
+            _raise_first_fault(n, edges)
+            raise
+        adjacency = tuple([tuple(sorted(a)) for a in adjacency])
+        # A loop or a repeated edge repeats a neighbour within one list; a
+        # negative id indexes from the end, so it shows only as a value.
+        if (sum(map(len, map(set, adjacency))) != 2 * len(edges)
+                or min(map(itemgetter(0), filter(None, adjacency)),
+                       default=0) < 0):
+            _raise_first_fault(n, edges)
+        self._n = n
+        self._m = len(edges)
+        self._adjacency = adjacency
         self._degrees = tuple(map(len, adjacency))
+        self._edges = None
 
     @property
     def n(self):
@@ -85,7 +90,7 @@ class Graph:
     @property
     def m(self):
         """Number of edges."""
-        return len(self._edges)
+        return self._m
 
     @property
     def adjacency(self):
@@ -99,6 +104,10 @@ class Graph:
 
     def edges(self):
         """Edges as (u, v) with u < v, sorted lexicographically."""
+        if self._edges is None:
+            self._edges = tuple((u, v)
+                                for u, nbrs in enumerate(self._adjacency)
+                                for v in nbrs if v > u)
         return self._edges
 
     def neighbors(self, v):
@@ -118,13 +127,28 @@ class Graph:
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._n == other._n and self._edges == other._edges
+        return self._n == other._n and self._adjacency == other._adjacency
 
     def __hash__(self):
-        return hash((self._n, self._edges))
+        return hash((self._n, self._adjacency))
 
     def __repr__(self):
         return f"Graph(n={self._n}, m={self.m})"
+
+
+def _raise_first_fault(n, edges):
+    """Raise the error of the first faulty edge, scanning in input order."""
+    seen = set()
+    for u, v in edges:
+        for w in (u, v):
+            if not (0 <= w < n):
+                raise VertexOutOfRangeError(f"vertex {w} not in 0..{n - 1}")
+        if u == v:
+            raise LoopEdgeError(f"self-loop at vertex {u}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise DuplicateEdgeError(f"edge {key} appears more than once")
+        seen.add(key)
 
 
 def build_graph(n, edges):
@@ -197,12 +221,18 @@ def generate_random_connected(n, edge_probability, seed):
     return Graph(n, sorted(edges))
 
 
+# Largest order an edge-list header may declare: a Graph allocates one list
+# per vertex, so an unbounded header could exhaust memory from one line.
+MAX_ORDER = 10_000_000
+
+
 def parse_edge_list(text):
     """Parse the edge-list format.
 
     One edge per line as two whitespace-separated nonnegative integers;
     blank lines and '#' comments ignored. An optional first data line
-    "n <count>" declares the order (allowing isolated trailing vertices).
+    "n <count>" declares the order (allowing isolated trailing vertices);
+    an order above MAX_ORDER raises OrderTooLargeError.
     Without a header, vertex ids are compacted to a dense 0-based range.
     """
     return _parse_edge_list(text)[0]
@@ -238,6 +268,10 @@ def _parse_edge_list(text):
             if declared_n < 0:
                 raise EdgeListSyntaxError(
                     f"line {lineno}: negative order {declared_n}"
+                )
+            if declared_n > MAX_ORDER:
+                raise OrderTooLargeError(
+                    f"line {lineno}: order {declared_n} exceeds {MAX_ORDER}"
                 )
             first_data_line = False
             continue
@@ -278,6 +312,8 @@ _G6_HEADER = ">>graph6<<"
 _G6_INVALID = re.compile(r"[^?-~]")
 # The six bits each graph6 byte 63..126 carries, most significant first.
 _G6_BITS = {b: format(b - 63, "06b") for b in range(63, 127)}
+# The graph6 byte of each 6-bit group value.
+_G6_CHARS = bytes(range(63, 127)) + bytes(192)
 
 
 def parse_graph6(line):
@@ -344,17 +380,22 @@ def parse_graph6(line):
     return Graph(n, edges)
 
 
+def _graph6_order(n):
+    """graph6 order prefix: one byte for n < 63, else '~' and 18 bits, or
+    '~~' and 36 bits, in 6-bit groups, most significant first. The 18-bit
+    form ends at 258047, where its first group would become 63 ('~')."""
+    if n < 63:
+        return chr(63 + n)
+    width, prefix = (18, "~") if n <= 258047 else (36, "~~")
+    return prefix + "".join(chr(63 + (n >> s & 63))
+                            for s in range(width - 6, -1, -6))
+
+
 def write_graph6(g):
-    """Encode a graph as a short-form graph6 string (requires n < 63)."""
-    if g.n >= 63:
-        raise OrderTooLargeError(
-            f"short-form graph6 supports n < 63, got {g.n}"
-        )
+    """Encode a graph as a graph6 string."""
     n = g.n
-    nbits = n * (n - 1) // 2
-    bits = bytearray(b"0" * (nbits + -nbits % 6))
+    groups = bytearray((n * (n - 1) // 2 + 5) // 6)
     for u, v in g.edges():
-        bits[v * (v - 1) // 2 + u] = ord("1")
-    return chr(n + 63) + "".join(
-        chr(63 + int(bits[i:i + 6], 2)) for i in range(0, len(bits), 6)
-    )
+        k = v * (v - 1) // 2 + u
+        groups[k // 6] |= 32 >> k % 6
+    return _graph6_order(n) + groups.translate(_G6_CHARS).decode("ascii")

@@ -6,12 +6,21 @@ vertices; the definitions do not extend to disconnected input and
 summing over components would be an invention, so that is a hard error.
 
 full_report holds the only copy of each formula; the per-index functions
-select one field of its result. Float addition is not associative, so
+select one field of its result. The exact integers are grouped by
+vertex, so each costs n big-integer products, plus m big additions for
+R2, instead of one big product per edge:
+
+  R1 = sum_v r(v)^2            R3 = sum_v deg(v) r(v)
+  R2 = sum_u r(u) * sum_{w in N(u), w > u} r(w)
+  Zagreb1 = sum_v deg(v)^2     Zagreb2 = 1/2 sum_v deg(v) S(v)
+
+where S(v) is the sum degree. Float addition is not associative, so
 real-valued indices are summed over the edges in sorted order: a graph
 then gives the same bits however its edges were listed on input.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .degrees import r_degree_table
@@ -91,33 +100,37 @@ def full_report(g):
     """All indices of one graph, with R degrees computed once and shared."""
     _require_valid(g)
     deg = g.degrees
-    r = r_degree_table(g).r_degrees
+    table = r_degree_table(g)
+    r = table.r_degrees
     r2 = 0
-    zagreb2 = 0
     abc = 0.0
     ga = 0.0
     h = 0.0
     chi = 0.0
     randic = 0.0
-    for u, v in g.edges():
-        r2 += r[u] * r[v]
-        du, dv = deg[u], deg[v]
-        s = du + dv
-        p = du * dv
-        zagreb2 += p
-        abc += math.sqrt((s - 2) / p)
-        ga += 2.0 * math.sqrt(p) / s
-        h += 2.0 / s
-        chi += 1.0 / math.sqrt(s)
-        randic += 1.0 / math.sqrt(p)
+    # Each edge uv with u < v is visited once, from u, in sorted-edge order,
+    # which keeps the float sums bit-identical to a walk over g.edges().
+    for u, nbrs in enumerate(g.adjacency):
+        du = deg[u]
+        r_upper = 0
+        for v in nbrs[bisect_right(nbrs, u):]:
+            r_upper += r[v]
+            dv = deg[v]
+            s = du + dv
+            p = du * dv
+            abc += math.sqrt((s - 2) / p)
+            ga += 2.0 * math.sqrt(p) / s
+            h += 2.0 / s
+            chi += 1.0 / math.sqrt(s)
+            randic += 1.0 / math.sqrt(p)
+        r2 += r[u] * r_upper
     return IndexReport(
         n=g.n, m=g.m,
         r1=sum(x * x for x in r),
         r2=r2,
-        # Each edge adds r(u) + r(v), so r(v) is counted deg(v) times.
         r3=sum(d * x for d, x in zip(deg, r)),
         abc=abc, ga=ga, h=h, chi=chi,
         zagreb1=sum(d * d for d in deg),
-        zagreb2=zagreb2,
+        zagreb2=sum(d * s for d, s in zip(deg, table.sum_degrees)) // 2,
         randic=randic,
     )

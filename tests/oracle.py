@@ -65,3 +65,18 @@ def naive_chi(g):
     for u, v in g.edges():
         terms.append((len(g.neighbors(u)) + len(g.neighbors(v))) ** -0.5)
     return math.fsum(terms)
+
+
+def naive_zagreb1(g):
+    # Each edge adds deg(u) + deg(v), so deg(v) is counted deg(v) times.
+    total = 0
+    for u, v in g.edges():
+        total += len(g.neighbors(u)) + len(g.neighbors(v))
+    return total
+
+
+def naive_zagreb2(g):
+    total = 0
+    for u, v in g.edges():
+        total += len(g.neighbors(u)) * len(g.neighbors(v))
+    return total

@@ -58,6 +58,14 @@ class TestCompute:
         result = run_cli("compute", str(path))
         assert result.returncode == 2
 
+    def test_order_too_large_exit_2(self, tmp_path):
+        path = tmp_path / "huge.edges"
+        path.write_text("n 1000000000000\n0 1\n")
+        for command in ("compute", "rdegrees"):
+            result = run_cli(command, str(path))
+            assert result.returncode == 2
+            assert "exceeds" in result.stderr
+
     def test_zagreb_printed_exactly(self, tmp_path):
         # Both Zagreb values of this star pass 10^9, where 9 significant
         # digits would no longer hold them.
@@ -125,7 +133,7 @@ class TestGenerate:
 
     @pytest.mark.parametrize("family", [f.value for f in Family])
     def test_round_trip_matches_in_memory(self, family, tmp_path):
-        for n in (3, 7, 30):
+        for n in (3, 7, 30, 70):
             for fmt in ("edgelist", "graph6"):
                 out = tmp_path / f"{family}{n}.{fmt}"
                 run_cli("generate", family, str(n), "--format", fmt,

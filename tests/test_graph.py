@@ -1,5 +1,8 @@
 """Graph construction, validation, family generators and the two parsers."""
 
+import random
+import tracemalloc
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -26,7 +29,7 @@ from rindices import (
     write_edge_list,
     write_graph6,
 )
-from rindices.graph import parse_edge_list_with_mapping
+from rindices.graph import _graph6_order, parse_edge_list_with_mapping
 
 
 class TestBuildGraph:
@@ -63,6 +66,52 @@ class TestBuildGraph:
         g = build_graph(2, [(0, 1)])
         with pytest.raises(VertexOutOfRangeError):
             g.degree(5)
+
+
+def reference_scan_error(n, edges):
+    """(type, message) of the first faulty edge in input order, or None."""
+    seen = set()
+    for u, v in edges:
+        for w in (u, v):
+            if not 0 <= w < n:
+                return VertexOutOfRangeError, f"vertex {w} not in 0..{n - 1}"
+        if u == v:
+            return LoopEdgeError, f"self-loop at vertex {u}"
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            return DuplicateEdgeError, f"edge {key} appears more than once"
+        seen.add(key)
+    return None
+
+
+class TestGraphCore:
+    @given(st.integers(min_value=1, max_value=30), st.integers())
+    @settings(max_examples=60, deadline=None)
+    def test_edge_order_and_orientation_ignored(self, n, seed):
+        g = generate_random_connected(n, 0.3, seed)
+        rng = random.Random(seed)
+        edges = [(v, u) if rng.random() < 0.5 else (u, v)
+                 for u, v in g.edges()]
+        rng.shuffle(edges)
+        h = build_graph(n, iter(edges))
+        assert h == build_graph(n, sorted(g.edges()))
+        assert hash(h) == hash(g)
+        assert list(h.edges()) == sorted(h.edges())
+        assert h.m == len(h.edges()) == len(edges)
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1), (1, 2), (2, 1), (0, 5)],   # duplicate, then out of range
+        [(0, 1), (3, 3), (1, 0)],           # loop, then duplicate
+        [(0, 1), (1, 0), (2, 2)],           # duplicate, then loop
+        [(0, 1), (-1, 2), (2, 2)],          # negative id, then loop
+        [(0, 4), (4, 1), (1, 9)],           # out of range, both sides
+    ])
+    def test_first_fault_decides_error(self, edges):
+        kind, message = reference_scan_error(4, edges)
+        with pytest.raises(kind) as info:
+            build_graph(4, iter(edges))
+        assert type(info.value) is kind
+        assert str(info.value) == message
 
 
 class TestConnectivity:
@@ -170,6 +219,16 @@ class TestEdgeListParser:
         g = generate_family(Family.CYCLE, 6)
         assert parse_edge_list(write_edge_list(g)) == g
 
+    def test_huge_header_rejected_before_allocation(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(OrderTooLargeError):
+                parse_edge_list("n 1000000000000\n0 1\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
 
 class TestGraph6:
     def test_single_vertex(self):
@@ -211,10 +270,22 @@ class TestGraph6:
         with pytest.raises(TrailingDataError):
             parse_graph6(text)
 
-    def test_order_too_large_for_writer(self):
-        g = generate_random_connected(63, 0.0, seed=0)
-        with pytest.raises(OrderTooLargeError):
-            write_graph6(g)
+    def test_long_form_writer(self):
+        for n in (63, 100):
+            g = generate_random_connected(n, 0.2, seed=n)
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges())
+            encoded = write_graph6(g)
+            assert encoded == \
+                nx.to_graph6_bytes(h, header=False).decode().strip()
+            assert parse_graph6(encoded) == g
+
+    @pytest.mark.parametrize("n,prefix", [
+        (62, "}"), (63, "~??~"), (258047, "~}~~"), (258048, "~~???~??"),
+    ], ids=["62", "63", "258047", "258048"])
+    def test_order_prefix(self, n, prefix):
+        assert _graph6_order(n) == prefix
 
     def test_long_form_parse(self):
         g6 = nx.to_graph6_bytes(nx.path_graph(70), header=False).decode().strip()

@@ -12,6 +12,7 @@ from rindices import (
     DisconnectedGraphError,
     Family,
     OrderTooSmallError,
+    Source,
     abc_index,
     build_graph,
     chi_index,
@@ -26,6 +27,7 @@ from rindices import (
     r3_index,
     r_degree_table,
 )
+from rindices.families import variants_for
 from util import relabel
 
 REL_TOL = 1e-9
@@ -154,6 +156,14 @@ class TestFullReport:
         assert report.r2 == 160
         assert report.r3 == 52
 
+    def test_k1000_matches_statement_forms(self):
+        n = 1000
+        report = full_report(generate_family(Family.COMPLETE, n))
+        for variant in variants_for(Family.COMPLETE):
+            assert variant.source is Source.PAPER_STATEMENT
+            assert getattr(report, variant.index.value) == \
+                variant.evaluate(n)
+
     def test_matches_individual_functions(self):
         g = generate_random_connected(20, 0.3, seed=11)
         report = full_report(g)
@@ -223,3 +233,5 @@ class TestProperties:
         assert report.ga == pytest.approx(oracle.naive_ga(g), rel=REL_TOL)
         assert report.h == pytest.approx(oracle.naive_h(g), rel=REL_TOL)
         assert report.chi == pytest.approx(oracle.naive_chi(g), rel=REL_TOL)
+        assert report.zagreb1 == oracle.naive_zagreb1(g)
+        assert report.zagreb2 == oracle.naive_zagreb2(g)
