@@ -1,13 +1,17 @@
 """Command-line front end.
 
 Subcommands: compute, rdegrees, generate, verify, batch. Parse failures
-exit with code 2 and disconnected inputs with code 3; diagnostics go to
-stderr. Batch mode isolates per-line failures and writes one CSV row per
-input line, in input order, from a single thread.
+and files that cannot be opened exit with code 2, disconnected inputs with
+code 3; diagnostics go to stderr. Input bytes that are not UTF-8 are
+replaced, so they fail to parse. Batch mode streams the corpus one line
+at a time and writes one CSV row per input line, in input order, with
+failures isolated per line.
 """
 
 import argparse
+import contextlib
 import csv
+import os
 import sys
 
 from . import families as fam
@@ -44,17 +48,32 @@ def _infer_format(path, flag):
     return "graph6" if path.endswith(".g6") else "edgelist"
 
 
+def _graph6_lines(f):
+    """(line number, stripped line) for each graph6 line of an open text
+    file, skipping blank lines and a lone '>>graph6<<' header. Lines are
+    numbered as str.splitlines splits the whole text."""
+    lines = (part for line in f for part in line.splitlines())
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if line and line != ">>graph6<<":
+            yield lineno, line
+
+
+def _open_out(path):
+    """The file at path opened for writing without newline translation,
+    or stdout if path is empty."""
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", newline="", encoding="utf-8")
+
+
 def _load_graph(path, format_flag):
-    fmt = _infer_format(path, format_flag)
-    with open(path, encoding="utf-8") as f:
-        text = f.read()
-    if fmt == "graph6":
-        for line in text.splitlines():
-            line = line.strip()
-            if line and line != ">>graph6<<":
-                return parse_graph6(line)
-        raise GraphError(f"no graph6 line found in {path}")
-    return parse_edge_list(text)
+    with open(path, encoding="utf-8", errors="replace") as f:
+        if _infer_format(path, format_flag) != "graph6":
+            return parse_edge_list(f.read())
+        for _, line in _graph6_lines(f):
+            return parse_graph6(line)
+    raise GraphError(f"no graph6 line found in {path}")
 
 
 def _parse_n_range(text):
@@ -71,7 +90,7 @@ def _parse_n_range(text):
 def cmd_compute(args):
     try:
         g = _load_graph(args.path, args.format)
-    except (OSError, GraphError) as exc:
+    except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -96,7 +115,7 @@ def cmd_compute(args):
 def cmd_rdegrees(args):
     try:
         g = _load_graph(args.path, args.format)
-    except (OSError, GraphError) as exc:
+    except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     bad = first_unreachable_vertex(g)
@@ -120,11 +139,8 @@ def cmd_generate(args):
         return EXIT_USAGE
     fmt = args.format or "edgelist"
     text = write_graph6(g) + "\n" if fmt == "graph6" else write_edge_list(g)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    with _open_out(args.out) as out:
+        out.write(text)
     return 0
 
 
@@ -147,58 +163,42 @@ def cmd_verify(args):
         report = fam.verify_family(family, n_range)
         all_rows.extend(report.rows)
     combined = fam.DiscrepancyReport(rows=tuple(all_rows))
-    csv_text = fam.report_to_csv(combined)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    with _open_out(args.out) as out:
+        out.write(fam.report_to_csv(combined))
     print(fam.report_summary(combined), file=sys.stderr)
     return 0 if combined.corrected_all_match() else 1
 
 
 def _batch_row(item):
-    name, line = item
+    """CSV row of one (line number, graph6 line) item."""
+    lineno, line = item
+    n = m = ""
     try:
         g = parse_graph6(line)
-    except GraphError as exc:
-        return [name, "", ""] + [""] * len(INDEX_NAMES) + [
-            f"ParseError({exc})"]
-    try:
+        n, m = str(g.n), str(g.m)
         report = full_report(g)
     except DisconnectedGraphError:
-        return [name, str(g.n), str(g.m)] + [""] * len(INDEX_NAMES) + [
-            "Disconnected"]
+        status = "Disconnected"
     except GraphError as exc:
-        return [name, str(g.n), str(g.m)] + [""] * len(INDEX_NAMES) + [
-            f"ParseError({exc})"]
-    values = [_fmt_value(getattr(report, n)) for n in INDEX_NAMES]
-    return [name, str(report.n), str(report.m)] + values + ["Ok"]
+        status = f"ParseError({exc})"
+    else:
+        values = [_fmt_value(getattr(report, name)) for name in INDEX_NAMES]
+        return [f"line{lineno}", n, m] + values + ["Ok"]
+    return [f"line{lineno}", n, m] + [""] * len(INDEX_NAMES) + [status]
 
 
 def cmd_batch(args):
-    try:
-        with open(args.path, encoding="utf-8") as f:
-            raw = f.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    items = []
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        line = line.strip()
-        if not line or line == ">>graph6<<":
-            continue
-        items.append((f"line{lineno}", line))
-    rows = [_batch_row(item) for item in items]
-    out = open(args.out, "w", newline="", encoding="utf-8") if args.out \
-        else sys.stdout
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(BATCH_CSV_HEADER)
-        writer.writerows(rows)
-    finally:
-        if args.out:
-            out.close()
+    with open(args.path, encoding="utf-8", errors="replace") as f:
+        # Opening --out truncates it before a line of the input is read.
+        if args.out and os.path.exists(args.out) \
+                and os.path.samefile(args.path, args.out):
+            print(f"error: --out {args.out} is the input file",
+                  file=sys.stderr)
+            return EXIT_USAGE
+        with _open_out(args.out) as out:
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(BATCH_CSV_HEADER)
+            writer.writerows(map(_batch_row, _graph6_lines(f)))
     return 0
 
 
@@ -249,7 +249,12 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        # A file that cannot be opened, read or written.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

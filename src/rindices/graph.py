@@ -14,6 +14,7 @@ from operator import itemgetter
 from .errors import (
     DuplicateEdgeError,
     EdgeListSyntaxError,
+    Graph6Error,
     InvalidCharacterError,
     LoopEdgeError,
     OrderTooLargeError,
@@ -310,8 +311,9 @@ def write_edge_list(g):
 
 _G6_HEADER = ">>graph6<<"
 _G6_INVALID = re.compile(r"[^?-~]")
-# The six bits each graph6 byte 63..126 carries, most significant first.
-_G6_BITS = {b: format(b - 63, "06b") for b in range(63, 127)}
+# Offsets (0 = most significant) of the set bits in each 6-bit group value.
+_G6_SET_BITS = [tuple(j for j in range(6) if x >> 5 - j & 1)
+                for x in range(64)]
 # The graph6 byte of each 6-bit group value.
 _G6_CHARS = bytes(range(63, 127)) + bytes(192)
 
@@ -320,8 +322,10 @@ def parse_graph6(line):
     """Decode one graph from its graph6 string (short form, n < 63, plus
     the standard long forms up to the printable limit).
 
-    The string must end with the last adjacency byte its order needs, and
-    the padding bits of that byte must be zero.
+    The order must be written in the shortest form that holds it, and the
+    string must end with the last adjacency byte its order needs, whose
+    padding bits must be zero. The adjacency bytes are walked directly:
+    besides the graph, decoding holds two byte copies of the line.
     """
     line = line.strip()
     if line.startswith(_G6_HEADER):
@@ -335,19 +339,21 @@ def parse_graph6(line):
             f"byte {ord(ch)} ({ch!r}) outside graph6 range 63..126"
         )
     data = line.encode("ascii")
-    bits = "".join([_G6_BITS[b] for b in data])
 
     if data[0] < 126:
-        n = data[0] - 63
-        pos = 1
+        start, pos = 0, 1
     elif len(data) >= 4 and data[1] < 126:
-        n = int(bits[6:24], 2)
-        pos = 4
+        start, pos = 1, 4
     elif len(data) >= 8:
-        n = int(bits[12:48], 2)
-        pos = 8
+        start, pos = 2, 8
     else:
         raise TruncatedDataError("incomplete graph6 order prefix")
+    n = 0
+    for b in data[start:pos]:
+        n = n << 6 | b - 63
+    # The 4-byte form starts at 63 and the 8-byte form above 258047.
+    if n < (0, 63, 258048)[start]:
+        raise Graph6Error(f"order {n} is not written in its shortest form")
 
     nbits = n * (n - 1) // 2
     needed = (nbits + 5) // 6
@@ -360,8 +366,8 @@ def parse_graph6(line):
         raise TrailingDataError(
             f"{got - needed} bytes after the adjacency data for n={n}"
         )
-    bits = bits[6 * pos:]
-    if "1" in bits[nbits:]:
+    # With n <= 1 there is no adjacency byte, and the mask is 0.
+    if (data[-1] - 63) & (1 << 6 * needed - nbits) - 1:
         raise TrailingDataError(
             f"nonzero padding bits after the {nbits} adjacency bits"
         )
@@ -370,13 +376,13 @@ def parse_graph6(line):
     edges = []
     v = 1
     first = 0
-    k = bits.find("1")
-    while k >= 0:
-        while k >= first + v:
-            first += v
-            v += 1
-        edges.append((k - first, v))
-        k = bits.find("1", k + 1)
+    for i, b in enumerate(data[pos:]):
+        for j in _G6_SET_BITS[b - 63]:
+            k = 6 * i + j
+            while k >= first + v:
+                first += v
+                v += 1
+            edges.append((k - first, v))
     return Graph(n, edges)
 
 

@@ -77,6 +77,17 @@ class TestCompute:
         assert result.stdout.split() == [
             "n=40000", "m=39999", "zagreb1=1599960000", "zagreb2=1599920001"]
 
+    def test_undecodable_bytes_exit_2(self, tmp_path):
+        g6 = tmp_path / "bad.g6"
+        g6.write_bytes(b"\xffA_\n")
+        edges = tmp_path / "bad.edges"
+        edges.write_bytes(b"0 1\n\xff 2\n")
+        for command in ("compute", "rdegrees"):
+            for path in (g6, edges):
+                result = run_cli(command, str(path))
+                assert result.returncode == 2
+                assert result.stderr.startswith("error:")
+
     def test_graph6_inferred_from_extension(self, tmp_path):
         path = tmp_path / "c6.g6"
         path.write_text(write_graph6(generate_family(Family.CYCLE, 6)) + "\n")
@@ -234,3 +245,45 @@ class TestBatch:
 
     def test_missing_input_exit_2(self, tmp_path):
         assert run_cli("batch", str(tmp_path / "nope.g6")).returncode == 2
+
+    def test_line_splitting(self, tmp_path):
+        # Form feed splits a line, \r\n is one break, and a header line
+        # is skipped only when nothing follows it.
+        src = tmp_path / "split.g6"
+        src.write_bytes(b"A_\x0cA_\r\nBw\n\n>>graph6<<\n>>graph6<<A_\n")
+        result = run_cli("batch", str(src))
+        assert result.returncode == 0
+        rows = [line.split(",") for line in result.stdout.splitlines()[1:]]
+        assert [(r[0], r[-1]) for r in rows] == [
+            ("line1", "Ok"), ("line2", "Ok"), ("line3", "Ok"),
+            ("line6", "Ok")]
+
+    def test_undecodable_line_isolated(self, tmp_path):
+        src = tmp_path / "bytes.g6"
+        src.write_bytes(b"A_\n\xff\nBw\n")
+        out = tmp_path / "out.csv"
+        result = run_cli("batch", str(src), "--out", str(out))
+        assert result.returncode == 0
+        rows = out.read_text(encoding="utf-8").splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["line1", "line2", "line3"]
+        assert rows[0].endswith("Ok") and rows[2].endswith("Ok")
+        assert rows[1].endswith(")") and "ParseError(" in rows[1]
+
+    def test_out_is_input_refused(self, tmp_path):
+        src = tmp_path / "corpus.g6"
+        src.write_text("A_\nBw\n")
+        result = run_cli("batch", str(src), "--out", str(src))
+        assert result.returncode == 2
+        assert result.stderr.startswith("error:")
+        assert src.read_text() == "A_\nBw\n"
+
+
+def test_unwritable_out_exit_2(tmp_path):
+    src = tmp_path / "k2.g6"
+    src.write_text("A_\n")
+    out = str(tmp_path / "missing" / "out.csv")
+    for args in (["batch", str(src)], ["verify", "cycle"],
+                 ["generate", "cycle", "5"]):
+        result = run_cli(*args, "--out", out)
+        assert result.returncode == 2, args
+        assert result.stderr.startswith("error:"), args

@@ -12,6 +12,7 @@ from rindices import (
     DuplicateEdgeError,
     EdgeListSyntaxError,
     Family,
+    Graph6Error,
     GraphError,
     InvalidCharacterError,
     LoopEdgeError,
@@ -286,6 +287,27 @@ class TestGraph6:
     ], ids=["62", "63", "258047", "258048"])
     def test_order_prefix(self, n, prefix):
         assert _graph6_order(n) == prefix
+
+    @pytest.mark.parametrize("text,n", [
+        ("~???", 0), ("~??}" + "?" * 316, 62), ("~~??????", 0),
+        ("~~???}~~", 258047),
+    ], ids=["4-byte-0", "4-byte-62", "8-byte-0", "8-byte-258047"])
+    def test_non_minimal_order_prefix_rejected(self, text, n):
+        # The order is checked before the length, so a line too short
+        # for its order is rejected for the prefix, naming the order.
+        with pytest.raises(Graph6Error, match=f"order {n} "):
+            parse_graph6(text)
+
+    def test_decoder_memory_linear_in_line(self):
+        line = write_graph6(generate_family(Family.PATH, 2000))
+        tracemalloc.start()
+        try:
+            g = parse_graph6(line)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.m == 1999
+        assert peak < 4 * len(line)
 
     def test_long_form_parse(self):
         g6 = nx.to_graph6_bytes(nx.path_graph(70), header=False).decode().strip()
