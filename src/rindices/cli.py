@@ -1,11 +1,13 @@
 """Command-line front end.
 
-Subcommands: compute, rdegrees, generate, verify, batch. Parse failures
-and files that cannot be opened exit with code 2, disconnected inputs with
-code 3; diagnostics go to stderr. Input bytes that are not UTF-8 are
-replaced, so they fail to parse. Batch mode streams the corpus one line
-at a time and writes one CSV row per input line, in input order, with
-failures isolated per line.
+Subcommands: compute, rdegrees, generate, verify, batch. The commands
+raise, and main is the only place that maps errors to exit codes: parse
+failures and files that cannot be opened exit with code 2, disconnected
+inputs with code 3, each with an 'error:' line on stderr. argparse checks
+option values before any input is read. Input bytes that are not UTF-8
+are replaced, so they fail to parse. Batch mode streams the corpus one
+line at a time and writes one CSV row per input line, in input order,
+with failures isolated per line.
 """
 
 import argparse
@@ -77,51 +79,41 @@ def _load_graph(path, format_flag):
 
 
 def _parse_n_range(text):
+    """argparse type of --n-range: 'a..b' as range(a, b + 1)."""
     try:
         lo_s, hi_s = text.split("..", 1)
         lo, hi = int(lo_s), int(hi_s)
     except ValueError:
-        raise ValueError(f"range must be 'a..b', got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"range must be 'a..b', got {text!r}") from None
     if lo > hi:
-        raise ValueError(f"empty range {text!r}")
+        raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return range(lo, hi + 1)
 
 
-def cmd_compute(args):
-    try:
-        g = _load_graph(args.path, args.format)
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        report = full_report(g)
-    except DisconnectedGraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DISCONNECTED
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    selected = args.indices.split(",") if args.indices else INDEX_NAMES
+def _parse_indices(text):
+    """argparse type of --indices: a comma-separated subset of
+    INDEX_NAMES; an empty value selects every index."""
+    selected = text.split(",") if text else INDEX_NAMES
     for name in selected:
         if name not in INDEX_NAMES:
-            print(f"error: unknown index {name!r}", file=sys.stderr)
-            return EXIT_USAGE
+            raise argparse.ArgumentTypeError(f"unknown index {name!r}")
+    return selected
+
+
+def cmd_compute(args):
+    report = full_report(_load_graph(args.path, args.format))
     print(f"n={report.n} m={report.m}")
-    for name in selected:
+    for name in args.indices:
         print(f"{name}={_fmt_value(getattr(report, name))}")
     return 0
 
 
 def cmd_rdegrees(args):
-    try:
-        g = _load_graph(args.path, args.format)
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    g = _load_graph(args.path, args.format)
     bad = first_unreachable_vertex(g)
     if bad is not None:
-        print(f"error: {DisconnectedGraphError(bad)}", file=sys.stderr)
-        return EXIT_DISCONNECTED
+        raise DisconnectedGraphError(bad)
     table = r_degree_table(g)
     print("vertex deg sum_deg mult_deg r")
     for v, d in enumerate(g.degrees):
@@ -131,12 +123,7 @@ def cmd_rdegrees(args):
 
 
 def cmd_generate(args):
-    try:
-        family = Family(args.family)
-        g = generate_family(family, args.n)
-    except (ValueError, GraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    g = generate_family(args.family, args.n)
     fmt = args.format or "edgelist"
     text = write_graph6(g) + "\n" if fmt == "graph6" else write_edge_list(g)
     with _open_out(args.out) as out:
@@ -145,22 +132,10 @@ def cmd_generate(args):
 
 
 def cmd_verify(args):
-    try:
-        n_range = _parse_n_range(args.n_range)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.family == "all":
-        selected = list(Family)
-    else:
-        try:
-            selected = [Family(args.family)]
-        except ValueError:
-            print(f"error: unknown family {args.family!r}", file=sys.stderr)
-            return EXIT_USAGE
+    selected = list(Family) if args.family == "all" else [args.family]
     all_rows = []
     for family in selected:
-        report = fam.verify_family(family, n_range)
+        report = fam.verify_family(family, args.n_range)
         all_rows.extend(report.rows)
     combined = fam.DiscrepancyReport(rows=tuple(all_rows))
     with _open_out(args.out) as out:
@@ -213,8 +188,8 @@ def build_parser():
     p = sub.add_parser("compute", help="compute indices of one graph")
     p.add_argument("path")
     p.add_argument("--format", choices=["edgelist", "graph6"])
-    p.add_argument("--indices", help="comma-separated subset of "
-                                     + ",".join(INDEX_NAMES))
+    p.add_argument("--indices", type=_parse_indices, default=INDEX_NAMES,
+                   help="comma-separated subset of " + ",".join(INDEX_NAMES))
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("rdegrees", help="dump per-vertex R degree table")
@@ -232,7 +207,7 @@ def build_parser():
     p = sub.add_parser("verify", help="check closed forms against "
                                       "direct computation")
     p.add_argument("family", choices=[f.value for f in Family] + ["all"])
-    p.add_argument("--n-range", default="3..30")
+    p.add_argument("--n-range", type=_parse_n_range, default="3..30")
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 
@@ -251,8 +226,11 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
-        # A file that cannot be opened, read or written.
+    except DisconnectedGraphError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DISCONNECTED
+    except (GraphError, OSError) as exc:
+        # Bad input, or a file that cannot be opened, read or written.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

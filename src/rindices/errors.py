@@ -45,7 +45,7 @@ class Graph6Error(GraphError):
 
 
 class InvalidCharacterError(Graph6Error):
-    """A graph6 byte falls outside the printable range 63..126."""
+    """A graph6 character falls outside the printable range '?'..'~'."""
 
 
 class TruncatedDataError(Graph6Error):

@@ -27,6 +27,9 @@ from .errors import OrderBelowValidityError
 from .graph import Family, generate_family
 from .indices import full_report
 
+# Every recorded claim is stated for n >= 3.
+MIN_CLAIM_ORDER = 3
+
 
 class Source(Enum):
     PAPER_STATEMENT = "statement"
@@ -48,13 +51,12 @@ class ClosedFormVariant:
     index: RIndex
     source: Source
     expression: object  # callable n -> Fraction
-    min_n: int = 3
 
     def evaluate(self, n):
-        if n < self.min_n:
+        if n < MIN_CLAIM_ORDER:
             raise OrderBelowValidityError(
                 f"{self.family.value}/{self.index.value}/{self.source.value} "
-                f"claimed only for n >= {self.min_n}, got {n}"
+                f"claimed only for n >= {MIN_CLAIM_ORDER}, got {n}"
             )
         return Fraction(self.expression(n))
 
@@ -173,18 +175,17 @@ def verify_family(family, n_range):
 
     n_range is an iterable of orders. The graph of each order is built
     and indexed once, and that report is shared by every claim at that
-    order; rows below a variant's validity minimum are skipped. Rows are
-    sorted by (index, n, source).
+    order; orders below MIN_CLAIM_ORDER are skipped. Rows are sorted by
+    (index, n, source).
     """
     family = Family(family)
     variants = variants_for(family)
     rows = []
     for n in sorted(set(n_range)):
-        valid = [v for v in variants if n >= v.min_n]
-        if not valid:
+        if n < MIN_CLAIM_ORDER:
             continue
         report = full_report(generate_family(family, n))
-        for variant in valid:
+        for variant in variants:
             rows.append(DiscrepancyRow(
                 family=family,
                 index=variant.index,

@@ -336,7 +336,7 @@ def parse_graph6(line):
     if bad:
         ch = bad.group()
         raise InvalidCharacterError(
-            f"byte {ord(ch)} ({ch!r}) outside graph6 range 63..126"
+            f"character {ascii(ch)} outside graph6 range '?'..'~'"
         )
     data = line.encode("ascii")
 

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior, including exit codes and batch determinism."""
 
+import os
 import subprocess
 import sys
 
@@ -51,6 +52,23 @@ class TestCompute:
         result = run_cli("compute", str(path))
         assert result.returncode == 3
         assert "vertex 2" in result.stderr
+
+    def test_bad_index_rejected_before_input(self, tmp_path):
+        # The option value is checked before the graph is read, so a
+        # disconnected input does not turn the usage error into exit 3.
+        path = tmp_path / "two.edges"
+        path.write_text("0 1\n2 3\n")
+        result = run_cli("compute", str(path), "--indices", "foo")
+        assert result.returncode == 2
+        assert "unknown index 'foo'" in result.stderr
+        assert result.stdout == ""
+
+    def test_empty_indices_selects_all(self, p3_file):
+        result = run_cli("compute", p3_file, "--indices", "")
+        assert result.returncode == 0
+        names = [line.split("=")[0] for line in result.stdout.splitlines()]
+        assert names == ["n", "r1", "r2", "r3", "abc", "ga", "h", "chi",
+                         "zagreb1", "zagreb2", "randic"]
 
     def test_parse_error_exit_2(self, tmp_path):
         path = tmp_path / "bad.edges"
@@ -119,6 +137,14 @@ class TestRDegrees:
         assert rows[0][2:] == ["3", "1", "4"]
         assert all(r[4] == "6" for r in rows[1:])
 
+    def test_disconnected_exit_3(self, tmp_path):
+        path = tmp_path / "two.edges"
+        path.write_text("0 1\n2 3\n")
+        result = run_cli("rdegrees", str(path))
+        assert result.returncode == 3
+        assert result.stderr.startswith("error: graph is not connected")
+        assert result.stdout == ""
+
 
 class TestGenerate:
     def test_cycle_edge_list(self):
@@ -185,8 +211,10 @@ class TestVerify:
             assert f"{family}," in content
 
     def test_malformed_range_exit_2(self):
-        assert run_cli("verify", "cycle", "--n-range", "3-10").returncode == 2
-        assert run_cli("verify", "cycle", "--n-range", "9..2").returncode == 2
+        for text in ("3-10", "9..2"):
+            result = run_cli("verify", "cycle", "--n-range", text)
+            assert result.returncode == 2
+            assert repr(text) in result.stderr
 
 
 class TestBatch:
@@ -268,6 +296,18 @@ class TestBatch:
         assert [r.split(",")[0] for r in rows] == ["line1", "line2", "line3"]
         assert rows[0].endswith("Ok") and rows[2].endswith("Ok")
         assert rows[1].endswith(")") and "ParseError(" in rows[1]
+
+    def test_ascii_stdout(self, tmp_path):
+        # Every row is ASCII, so a stdout that encodes only ASCII takes
+        # the ParseError row of a replaced byte.
+        src = tmp_path / "bytes.g6"
+        src.write_bytes(b"A_\n\xff\nBw\n")
+        result = run_cli("batch", str(src),
+                         env=dict(os.environ, PYTHONIOENCODING="ascii"))
+        assert result.returncode == 0, result.stderr
+        rows = result.stdout.splitlines()[1:]
+        assert len(rows) == 3
+        assert "ParseError(" in rows[1]
 
     def test_out_is_input_refused(self, tmp_path):
         src = tmp_path / "corpus.g6"

@@ -261,6 +261,15 @@ class TestGraph6:
         with pytest.raises(InvalidCharacterError):
             parse_graph6("A!")
 
+    def test_invalid_character_message_is_ascii(self):
+        # A replaced undecodable byte is named by its escape, so the
+        # message prints on any stdout.
+        with pytest.raises(InvalidCharacterError) as info:
+            parse_graph6("\ufffdA")
+        assert str(info.value) == \
+            "character '\\ufffd' outside graph6 range '?'..'~'"
+        assert str(info.value).isascii()
+
     def test_truncated(self):
         with pytest.raises(TruncatedDataError):
             parse_graph6("D?")
