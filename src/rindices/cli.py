@@ -3,7 +3,8 @@
 Subcommands: compute, rdegrees, generate, verify, batch. The commands
 raise, and main is the only place that maps errors to exit codes: parse
 failures and files that cannot be opened exit with code 2, disconnected
-inputs with code 3, each with an 'error:' line on stderr. argparse checks
+inputs with code 3, each with an 'error:' line on stderr; a stdout whose
+reader has gone away ends the run quietly with code 141. argparse checks
 option values before any input is read. Input bytes that are not UTF-8
 are replaced, so they fail to parse. Batch mode streams the corpus one
 line at a time and writes one CSV row per input line, in input order,
@@ -32,6 +33,8 @@ from .indices import full_report
 
 EXIT_USAGE = 2
 EXIT_DISCONNECTED = 3
+# 128 + SIGPIPE, what a shell reports for a writer whose reader went away.
+EXIT_BROKEN_PIPE = 141
 
 INDEX_NAMES = ["r1", "r2", "r3", "abc", "ga", "h", "chi",
                "zagreb1", "zagreb2", "randic"]
@@ -225,7 +228,17 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early, as `| head` does. Point stdout at
+        # devnull so the flush at interpreter exit cannot fail again, and
+        # stop quietly (the Python docs' "Note on SIGPIPE").
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except DisconnectedGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DISCONNECTED

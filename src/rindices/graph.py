@@ -1,7 +1,9 @@
 """Simple undirected graph representation, family generators and parsers.
 
 Vertices are dense 0-based integer ids. Graphs are immutable after
-construction and validated to be simple (no loops, no duplicate edges).
+construction and simple (no loops, no duplicate edges): edge input is
+validated, and the graph6 decoder and the family generator build
+neighbour lists that cannot break this.
 Connectivity is *not* required at construction time; index computations
 check it themselves.
 """
@@ -48,6 +50,13 @@ class Graph:
 
     The graph is stored once, as a sorted neighbour tuple per vertex; the
     edge tuple is derived from those tuples on first use and cached.
+
+    Graph(n, edges) validates its input. The private
+    Graph._from_sorted_adjacency(n, adjacency) validates nothing: its
+    caller guarantees that every neighbour list is sorted, in 0..n-1,
+    free of loops and repeats, and that u lists v iff v lists u. Only
+    builders whose construction cannot break that contract use it (the
+    graph6 decoder and the family generator).
     """
 
     __slots__ = ("_n", "_m", "_adjacency", "_degrees", "_edges")
@@ -82,6 +91,17 @@ class Graph:
         self._adjacency = adjacency
         self._degrees = tuple(map(len, adjacency))
         self._edges = None
+
+    @classmethod
+    def _from_sorted_adjacency(cls, n, adjacency):
+        """Graph from n trusted neighbour lists; see the class docstring."""
+        g = cls.__new__(cls)
+        g._n = n
+        g._adjacency = adjacency = tuple(map(tuple, adjacency))
+        g._degrees = degrees = tuple(map(len, adjacency))
+        g._m = sum(degrees) // 2
+        g._edges = None
+        return g
 
     @property
     def n(self):
@@ -190,15 +210,17 @@ def generate_family(family, n):
         raise OrderTooSmallError(
             f"{family.value} graph requires n >= {minimum}, got {n}"
         )
+    inner = [(i - 1, i + 1) for i in range(1, n - 1)]
     if family is Family.PATH:
-        edges = [(i, i + 1) for i in range(n - 1)]
+        adjacency = [(1,)] + inner + [(n - 2,)]
     elif family is Family.CYCLE:
-        edges = [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)]
+        adjacency = [(1, n - 1)] + inner + [(0, n - 2)]
     elif family is Family.COMPLETE:
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        adjacency = [tuple(range(i)) + tuple(range(i + 1, n))
+                     for i in range(n)]
     else:  # star: vertex 0 is the center
-        edges = [(0, i) for i in range(1, n)]
-    return Graph(n, edges)
+        adjacency = [tuple(range(1, n))] + [(0,)] * (n - 1)
+    return Graph._from_sorted_adjacency(n, adjacency)
 
 
 def generate_random_connected(n, edge_probability, seed):
@@ -372,8 +394,11 @@ def parse_graph6(line):
             f"nonzero padding bits after the {nbits} adjacency bits"
         )
     # Bit k is the pair (u, v), u < v, with k = v(v-1)/2 + u; `first` is
-    # the bit of (0, v).
-    edges = []
+    # the bit of (0, v). Columns v ascend, and rows u ascend within a
+    # column, so each vertex w first receives its lower neighbours in
+    # column w, in ascending order, then its upper ones, ascending: every
+    # list comes out sorted, in range and free of loops and repeats.
+    adjacency = [[] for _ in range(n)]
     v = 1
     first = 0
     for i, b in enumerate(data[pos:]):
@@ -382,8 +407,10 @@ def parse_graph6(line):
             while k >= first + v:
                 first += v
                 v += 1
-            edges.append((k - first, v))
-    return Graph(n, edges)
+            u = k - first
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+    return Graph._from_sorted_adjacency(n, adjacency)
 
 
 def _graph6_order(n):

@@ -14,11 +14,15 @@ R2, instead of one big product per edge:
   R2 = sum_u r(u) * sum_{w in N(u), w > u} r(w)
   Zagreb1 = sum_v deg(v)^2     Zagreb2 = 1/2 sum_v deg(v) S(v)
 
-where S(v) is the sum degree. Float addition is not associative, so
-real-valued indices are summed over the edges in sorted order: a graph
-then gives the same bits however its edges were listed on input.
+where S(v) is the sum degree. The five real-valued edge terms depend
+only on the degree pair of the edge, so each pair's terms are evaluated
+once and kept in a bounded per-process cache (the edge-partition view of
+degree-based indices). Float addition is not associative, so the terms are still
+summed edge by edge in sorted order: a graph then gives the same bits
+however its edges were listed on input.
 """
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -96,6 +100,18 @@ def classical_extras(g):
     return report.zagreb1, report.zagreb2, report.randic
 
 
+# 64 * 64 ordered degree pairs cover every short-form graph6 graph, in
+# about 1.4 MB.
+@functools.lru_cache(maxsize=4096)
+def _edge_terms(du, dv):
+    """ABC, GA, harmonic, sum-connectivity and Randic terms of an edge
+    whose ends have degrees du and dv."""
+    s = du + dv
+    p = du * dv
+    return (math.sqrt((s - 2) / p), 2.0 * math.sqrt(p) / s, 2.0 / s,
+            1.0 / math.sqrt(s), 1.0 / math.sqrt(p))
+
+
 def full_report(g):
     """All indices of one graph, with R degrees computed once and shared."""
     _require_valid(g)
@@ -115,14 +131,12 @@ def full_report(g):
         r_upper = 0
         for v in nbrs[bisect_right(nbrs, u):]:
             r_upper += r[v]
-            dv = deg[v]
-            s = du + dv
-            p = du * dv
-            abc += math.sqrt((s - 2) / p)
-            ga += 2.0 * math.sqrt(p) / s
-            h += 2.0 / s
-            chi += 1.0 / math.sqrt(s)
-            randic += 1.0 / math.sqrt(p)
+            t_abc, t_ga, t_h, t_chi, t_randic = _edge_terms(du, deg[v])
+            abc += t_abc
+            ga += t_ga
+            h += t_h
+            chi += t_chi
+            randic += t_randic
         r2 += r[u] * r_upper
     return IndexReport(
         n=g.n, m=g.m,

@@ -13,6 +13,7 @@ from rindices import (
     parse_edge_list,
     parse_graph6,
     full_report,
+    write_edge_list,
     write_graph6,
 )
 
@@ -136,6 +137,24 @@ class TestRDegrees:
         rows = [r.split() for r in result.stdout.strip().split("\n")[1:]]
         assert rows[0][2:] == ["3", "1", "4"]
         assert all(r[4] == "6" for r in rows[1:])
+
+    def test_closed_stdout_pipe_exits_141_quietly(self, tmp_path):
+        # A reader that stops after one line, as `| head -1` does. The
+        # 20,000 rows overflow the pipe buffer, so the writer is still
+        # writing when the pipe closes.
+        path = tmp_path / "p20000.edges"
+        path.write_text(write_edge_list(generate_family(Family.PATH, 20000)))
+        proc = subprocess.Popen(CLI + ["rdegrees", str(path)],
+                                stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True)
+        try:
+            assert proc.stdout.readline() == "vertex deg sum_deg mult_deg r\n"
+            proc.stdout.close()
+            _, stderr = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 141
+        assert stderr == ""
 
     def test_disconnected_exit_3(self, tmp_path):
         path = tmp_path / "two.edges"

@@ -12,6 +12,7 @@ from rindices import (
     DuplicateEdgeError,
     EdgeListSyntaxError,
     Family,
+    Graph,
     Graph6Error,
     GraphError,
     InvalidCharacterError,
@@ -30,7 +31,25 @@ from rindices import (
     write_edge_list,
     write_graph6,
 )
-from rindices.graph import _graph6_order, parse_edge_list_with_mapping
+from rindices.graph import (
+    FAMILY_MIN_ORDER,
+    _graph6_order,
+    parse_edge_list_with_mapping,
+)
+
+
+def assert_matches_validated_build(g):
+    """g, built without validation, equals the validated Graph of its own
+    edges and holds strictly ascending neighbour tuples. A repeated, looped
+    or out-of-range neighbour makes Graph() raise; a one-sided one makes
+    the two graphs differ."""
+    validated = Graph(g.n, g.edges())
+    assert g == validated
+    assert (g.m, g.degrees, hash(g)) == \
+        (validated.m, validated.degrees, hash(validated))
+    for nbrs in g.adjacency:
+        assert type(nbrs) is tuple
+        assert all(a < b for a, b in zip(nbrs, nbrs[1:]))
 
 
 class TestBuildGraph:
@@ -160,6 +179,11 @@ class TestFamilies:
 
     def test_family_accepts_string(self):
         assert generate_family("path", 3).m == 2
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_matches_validated_build(self, family):
+        for n in range(FAMILY_MIN_ORDER[family], 61):
+            assert_matches_validated_build(generate_family(family, n))
 
 
 class TestRandomConnected:
@@ -381,3 +405,4 @@ def test_graph6_decoder_agrees_with_networkx(text):
     assert expected is not None
     assert g.n == expected.number_of_nodes()
     assert set(g.edges()) == {(min(e), max(e)) for e in expected.edges()}
+    assert_matches_validated_build(g)

@@ -28,6 +28,7 @@ from rindices import (
     r_degree_table,
 )
 from rindices.families import variants_for
+from rindices.indices import _edge_terms
 from util import relabel
 
 REL_TOL = 1e-9
@@ -235,3 +236,27 @@ class TestProperties:
         assert report.chi == pytest.approx(oracle.naive_chi(g), rel=REL_TOL)
         assert report.zagreb1 == oracle.naive_zagreb1(g)
         assert report.zagreb2 == oracle.naive_zagreb2(g)
+
+    @given(st.integers(min_value=2, max_value=35), st.integers(),
+           st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_real_indices_bit_identical_to_sorted_edge_sum(self, n, seed, p):
+        """The per-degree-pair term cache changes no bit: each real index
+        equals, exactly, its per-edge terms summed over the sorted edges."""
+        g = generate_random_connected(n, p, seed)
+        abc = ga = h = chi = randic = 0.0
+        for u, v in sorted(g.edges()):
+            s = g.degree(u) + g.degree(v)
+            prod = g.degree(u) * g.degree(v)
+            abc += math.sqrt((s - 2) / prod)
+            ga += 2.0 * math.sqrt(prod) / s
+            h += 2.0 / s
+            chi += 1.0 / math.sqrt(s)
+            randic += 1.0 / math.sqrt(prod)
+        _edge_terms.cache_clear()
+        cold = full_report(g)
+        warm = full_report(g)
+        for report in (cold, warm):
+            assert (report.abc, report.ga, report.h, report.chi,
+                    report.randic) == (abc, ga, h, chi, randic)
+        assert _edge_terms.cache_info().maxsize is not None
