@@ -6,16 +6,22 @@ failures and files that cannot be opened exit with code 2, disconnected
 inputs with code 3, each with an 'error:' line on stderr; a stdout whose
 reader has gone away ends the run quietly with code 141. argparse checks
 option values before any input is read. Input bytes that are not UTF-8
-are replaced, so they fail to parse. Batch mode streams the corpus one
-line at a time and writes one CSV row per input line, in input order,
-with failures isolated per line.
+are replaced, so they fail to parse. Batch mode streams the corpus in
+chunks of BATCH_CHUNK lines and writes one CSV row per input line, with
+failures isolated per line. The chunks are indexed in this process with
+--jobs 1, else in a pool of up to --jobs worker processes, capped at the
+CPU count; they are written in input order, so the CSV is the same bytes
+for every --jobs value.
 """
 
 import argparse
 import contextlib
 import csv
+import io
 import os
 import sys
+from collections import deque
+from itertools import islice
 
 from . import families as fam
 from .degrees import r_degree_table
@@ -40,6 +46,10 @@ INDEX_NAMES = ["r1", "r2", "r3", "abc", "ga", "h", "chi",
                "zagreb1", "zagreb2", "randic"]
 
 BATCH_CSV_HEADER = ["name", "n", "m"] + INDEX_NAMES + ["status"]
+
+# Lines per batch task. On a 5,000-line corpus of small graphs, 125 to
+# 1,000 lines timed alike at --jobs 2; 250 keeps the last task short.
+BATCH_CHUNK = 250
 
 
 def _fmt_value(value):
@@ -104,6 +114,18 @@ def _parse_indices(text):
     return selected
 
 
+def _parse_jobs(text):
+    """argparse type of --jobs: an integer of at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(
+            f"jobs must be a positive integer, got {text!r}")
+    return jobs
+
+
 def cmd_compute(args):
     report = full_report(_load_graph(args.path, args.format))
     print(f"n={report.n} m={report.m}")
@@ -165,7 +187,38 @@ def _batch_row(item):
     return [f"line{lineno}", n, m] + [""] * len(INDEX_NAMES) + [status]
 
 
+def _batch_chunk(items):
+    """CSV text of the rows of a list of (line number, graph6 line) items."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(map(_batch_row, items))
+    return text.getvalue()
+
+
+@contextlib.contextmanager
+def _ordered_mapper(workers):
+    """A map(fn, items) for `workers` processes. One worker maps in this
+    process; more run each call in a process pool, yield the results in
+    input order and keep at most 2 * workers calls in flight, so memory
+    stays flat however slowly the results are consumed. A worker that
+    dies raises BrokenProcessPool rather than leaving the run waiting."""
+    if workers == 1:
+        yield map
+        return
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        def pool_map(fn, items):
+            pending = deque()
+            for item in items:
+                pending.append(pool.submit(fn, item))
+                if len(pending) == 2 * workers:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        yield pool_map
+
+
 def cmd_batch(args):
+    workers = min(args.jobs, os.cpu_count() or 1)
     with open(args.path, encoding="utf-8", errors="replace") as f:
         # Opening --out truncates it before a line of the input is read.
         if args.out and os.path.exists(args.out) \
@@ -173,10 +226,11 @@ def cmd_batch(args):
             print(f"error: --out {args.out} is the input file",
                   file=sys.stderr)
             return EXIT_USAGE
-        with _open_out(args.out) as out:
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(BATCH_CSV_HEADER)
-            writer.writerows(map(_batch_row, _graph6_lines(f)))
+        items = _graph6_lines(f)
+        chunks = iter(lambda: list(islice(items, BATCH_CHUNK)), [])
+        with _open_out(args.out) as out, _ordered_mapper(workers) as mapper:
+            csv.writer(out, lineterminator="\n").writerow(BATCH_CSV_HEADER)
+            out.writelines(mapper(_batch_chunk, chunks))
     return 0
 
 
@@ -217,9 +271,9 @@ def build_parser():
     p = sub.add_parser("batch", help="index a graph6 corpus to CSV")
     p.add_argument("path")
     p.add_argument("--out")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility and ignored; batch "
-                        "always runs in one thread")
+    p.add_argument("--jobs", type=_parse_jobs, default=1,
+                   help="worker processes, at most the CPU count; the "
+                        "output is the same for every value")
     p.set_defaults(func=cmd_batch)
 
     return parser

@@ -1,11 +1,13 @@
 """End-to-end CLI behavior, including exit codes and batch determinism."""
 
+import concurrent.futures
 import os
 import subprocess
 import sys
 
 import pytest
 
+from rindices import cli
 from rindices import (
     Family,
     generate_family,
@@ -335,6 +337,154 @@ class TestBatch:
         assert result.returncode == 2
         assert result.stderr.startswith("error:")
         assert src.read_text() == "A_\nBw\n"
+
+
+def write_mixed_corpus(path, lines):
+    """A graph6 corpus of at least `lines` lines holding Ok rows, a
+    ParseError, a disconnected graph, an undecodable byte and a line that a
+    form feed splits in two."""
+    special = [b"A!\n", b"B?\n", b"\xff\n", b"A_\x0cBw\n"]
+    body = [(write_graph6(generate_random_connected(i % 25 + 2, 0.3, i))
+             + "\n").encode() for i in range(lines - len(special))]
+    for k, line in enumerate(special):
+        body.insert((k + 1) * len(body) // (len(special) + 1), line)
+    path.write_bytes(b"".join(body))
+
+
+class TestBatchPool:
+    # More than three chunks and an uneven last one.
+    LINES = 3 * cli.BATCH_CHUNK + cli.BATCH_CHUNK // 2 + 1
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        path = tmp_path / "mixed.g6"
+        write_mixed_corpus(path, self.LINES)
+        return path
+
+    def test_jobs_2_same_bytes_as_jobs_1(self, corpus, tmp_path):
+        outs = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"j{jobs}.csv"
+            result = run_cli("batch", str(corpus), "--out", str(out),
+                             "--jobs", jobs, timeout=120)
+            assert result.returncode == 0, result.stderr
+            outs[jobs] = out.read_bytes()
+            stdout = subprocess.run(
+                CLI + ["batch", str(corpus), "--jobs", jobs],
+                capture_output=True, timeout=120)
+            assert stdout.returncode == 0
+            assert stdout.stdout == outs[jobs]
+        assert outs["1"] == outs["2"]
+        rows = outs["2"].decode("ascii").splitlines()
+        assert len(rows) == 1 + self.LINES + 1  # the form feed adds a row
+        assert rows.count(rows[0]) == 1
+        statuses = {row.rsplit(",", 1)[1].split("(")[0] for row in rows[1:]}
+        assert statuses == {"Ok", "ParseError", "Disconnected"}
+
+    def test_spawn_start_method_same_bytes(self, corpus, tmp_path):
+        code = ("import multiprocessing, sys\n"
+                "from rindices import cli\n"
+                "multiprocessing.set_start_method('spawn')\n"
+                "sys.exit(cli.main(sys.argv[1:]))\n")
+        outs = []
+        for args, jobs in (([sys.executable, "-c", code], "2"), (CLI, "1")):
+            out = tmp_path / f"{len(outs)}.csv"
+            result = subprocess.run(
+                args + ["batch", str(corpus), "--out", str(out),
+                        "--jobs", jobs],
+                capture_output=True, text=True, timeout=120)
+            assert result.returncode == 0, result.stderr
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_closed_stdout_pipe_exits_141_quietly(self, tmp_path):
+        # Several chunks of rows overflow the pipe buffer, so the pool is
+        # still busy when the reader goes away.
+        path = tmp_path / "big.g6"
+        write_mixed_corpus(path, 8 * cli.BATCH_CHUNK)
+        proc = subprocess.Popen(CLI + ["batch", str(path), "--jobs", "2"],
+                                stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True)
+        try:
+            assert proc.stdout.readline().startswith("name,n,m,")
+            proc.stdout.close()
+            _, stderr = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 141
+        assert stderr == ""
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs a pool")
+    def test_dead_worker_fails_instead_of_hanging(self, corpus):
+        # The worker that takes line 600 exits at once, as one killed by
+        # the system would; its chunk never comes back.
+        code = ("import multiprocessing, os, sys\n"
+                "from rindices import cli\n"
+                "multiprocessing.set_start_method('fork')\n"
+                "row = cli._batch_row\n"
+                "cli._batch_row = lambda item: os._exit(9) "
+                "if item[0] == 600 else row(item)\n"
+                "sys.exit(cli.main(sys.argv[1:]))\n")
+        result = subprocess.run(
+            [sys.executable, "-c", code, "batch", str(corpus), "--jobs", "2"],
+            capture_output=True, text=True, timeout=60)
+        assert result.returncode == 1
+        assert "BrokenProcessPool" in result.stderr
+
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    def test_jobs_below_1_usage_error(self, jobs, tmp_path):
+        out = tmp_path / "out.csv"
+        result = run_cli("batch", str(tmp_path / "missing.g6"),
+                         "--out", str(out), "--jobs", jobs)
+        assert result.returncode == 2
+        assert result.stderr.startswith("usage:")
+        assert "--jobs" in result.stderr
+        assert not out.exists()
+
+    def test_workers_capped_at_cpu_count(self, corpus, tmp_path,
+                                         monkeypatch):
+        # A stand-in pool that runs each task in this process when its
+        # result is read: no process is started, and the number of tasks
+        # submitted but not yet read is the number in flight.
+        pools = []
+
+        class Future:
+            def __init__(self, pool, fn, args):
+                self.pool, self.fn, self.args = pool, fn, args
+
+            def result(self):
+                self.pool.in_flight -= 1
+                return self.fn(*self.args)
+
+        class FakePool:
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+                self.in_flight = self.max_in_flight = 0
+                pools.append(self)
+
+            def submit(self, fn, *args):
+                self.in_flight += 1
+                self.max_in_flight = max(self.max_in_flight, self.in_flight)
+                return Future(self, fn, args)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            FakePool)
+        out = tmp_path / "capped.csv"
+        assert cli.main(["batch", str(corpus), "--out", str(out),
+                         "--jobs", "100000"]) == 0
+        assert [p.max_workers for p in pools] == [2]
+        assert pools[0].max_in_flight == 4
+        expected = tmp_path / "expected.csv"
+        assert cli.main(["batch", str(corpus), "--out", str(expected)]) == 0
+        assert out.read_bytes() == expected.read_bytes()
+        assert len(pools) == 1
 
 
 def test_unwritable_out_exit_2(tmp_path):

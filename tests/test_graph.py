@@ -133,6 +133,28 @@ class TestGraphCore:
         assert type(info.value) is kind
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("edges", [
+        [(0, 1), (1, 2), (2, 1)],           # duplicate
+        [(0, 1), (3, 3)],                   # loop
+        [(0, 1), (-1, 2)],                  # negative id within -n
+        [(0, 1), (-50, 2)],                 # negative id below -n
+        [(5, 1), (1, 40)],                  # out of range
+    ])
+    def test_first_fault_with_isolated_vertices(self, edges):
+        # 40 vertices and at most 6 edge ends: the build that leaves
+        # isolated vertices without a list of their own.
+        kind, message = reference_scan_error(40, edges)
+        with pytest.raises(kind) as info:
+            build_graph(40, iter(edges))
+        assert str(info.value) == message
+
+    def test_isolated_vertices_have_empty_neighbour_tuples(self):
+        g = build_graph(40, [(7, 3), (3, 39)])
+        expected = [()] * 40
+        expected[3], expected[7], expected[39] = (7, 39), (3,), (3,)
+        assert g.adjacency == tuple(expected)
+        assert g.degrees == tuple(map(len, expected))
+
 
 class TestConnectivity:
     def test_path_connected(self):
@@ -253,6 +275,20 @@ class TestEdgeListParser:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_large_header_costs_a_pointer_per_vertex(self):
+        # Vertices without edges hold no list of their own; one list per
+        # declared vertex would peak near 80 bytes a vertex.
+        n = 200_000
+        tracemalloc.start()
+        try:
+            g = parse_edge_list(f"n {n}\n0 1\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (g.n, g.m, g.adjacency[1], g.adjacency[n - 1]) == \
+            (n, 1, (0,), ())
+        assert peak < 32 * n
 
 
 class TestGraph6:
