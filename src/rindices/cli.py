@@ -2,13 +2,14 @@
 
 Subcommands: compute, rdegrees, generate, verify, batch. The commands
 raise, and main is the only place that maps errors to exit codes: parse
-failures and files that cannot be opened exit with code 2, disconnected
-inputs with code 3, each with an 'error:' line on stderr; a stdout whose
-reader has gone away ends the run quietly with code 141. argparse checks
-option values before any input is read. Input bytes that are not UTF-8
-are replaced, so they fail to parse. Batch mode streams the corpus in
-chunks of BATCH_CHUNK lines and writes one CSV row per input line, with
-failures isolated per line. The chunks are indexed in this process with
+failures, files that cannot be opened and a batch worker process that
+dies exit with code 2, disconnected inputs with code 3, each with an
+'error:' line on stderr; a stdout whose reader has gone away ends the
+run quietly with code 141. argparse checks option values before any
+input is read. Input bytes that are not UTF-8 are replaced, so they fail
+to parse. Batch mode streams the corpus in chunks of BATCH_CHUNK lines
+and writes one CSV row per input line, with failures isolated per line.
+The chunks are indexed in this process with
 --jobs 1, else in a pool of up to --jobs worker processes, capped at the
 CPU count; they are written in input order, so the CSV is the same bytes
 for every --jobs value.
@@ -41,6 +42,11 @@ EXIT_USAGE = 2
 EXIT_DISCONNECTED = 3
 # 128 + SIGPIPE, what a shell reports for a writer whose reader went away.
 EXIT_BROKEN_PIPE = 141
+
+
+class WorkerDiedError(Exception):
+    """A batch worker process ended before returning its chunk."""
+
 
 INDEX_NAMES = ["r1", "r2", "r3", "abc", "ga", "h", "chi",
                "zagreb1", "zagreb2", "randic"]
@@ -200,11 +206,11 @@ def _ordered_mapper(workers):
     process; more run each call in a process pool, yield the results in
     input order and keep at most 2 * workers calls in flight, so memory
     stays flat however slowly the results are consumed. A worker that
-    dies raises BrokenProcessPool rather than leaving the run waiting."""
+    dies raises WorkerDiedError rather than leaving the run waiting."""
     if workers == 1:
         yield map
         return
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         def pool_map(fn, items):
             pending = deque()
@@ -214,7 +220,11 @@ def _ordered_mapper(workers):
                     yield pending.popleft().result()
             while pending:
                 yield pending.popleft().result()
-        yield pool_map
+        try:
+            yield pool_map
+        except BrokenExecutor:
+            raise WorkerDiedError("a batch worker process died before "
+                                  "returning its rows") from None
 
 
 def cmd_batch(args):
@@ -296,8 +306,9 @@ def main(argv=None):
     except DisconnectedGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DISCONNECTED
-    except (GraphError, OSError) as exc:
-        # Bad input, or a file that cannot be opened, read or written.
+    except (GraphError, OSError, WorkerDiedError) as exc:
+        # Bad input, a file that cannot be opened, read or written, or a
+        # lost batch worker.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -11,7 +11,6 @@ check it themselves.
 import random
 import re
 from enum import Enum
-from itertools import chain
 from operator import itemgetter
 
 from .errors import (
@@ -72,20 +71,20 @@ class Graph:
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         edges = list(edges)
+        # A vertex gets a list at its first edge; isolated ones share the
+        # empty tuple, so a large declared order costs a pointer per
+        # vertex. A list here is never empty.
+        adjacency = [()] * n
         try:
-            # When vertices outnumber edge ends, isolated ones share the
-            # empty tuple, so a large declared order costs a pointer per
-            # vertex. Otherwise each vertex gets a list: a set over all
-            # 2m edge ends would add about a quarter to this build.
-            if n > 2 * len(edges):
-                adjacency = [()] * n
-                for w in set(chain.from_iterable(edges)):
-                    adjacency[w] = []
-            else:
-                adjacency = [[] for _ in range(n)]
             for u, v in edges:
-                adjacency[u].append(v)
-                adjacency[v].append(u)
+                a = adjacency[u]
+                if not a:
+                    a = adjacency[u] = []
+                a.append(v)
+                a = adjacency[v]
+                if not a:
+                    a = adjacency[v] = []
+                a.append(u)
         except IndexError:
             _raise_first_fault(n, edges)
             raise

@@ -428,8 +428,19 @@ class TestBatchPool:
         result = subprocess.run(
             [sys.executable, "-c", code, "batch", str(corpus), "--jobs", "2"],
             capture_output=True, text=True, timeout=60)
-        assert result.returncode == 1
-        assert "BrokenProcessPool" in result.stderr
+        assert result.returncode == 2
+        assert result.stderr == ("error: a batch worker process died "
+                                 "before returning its rows\n")
+
+    def test_import_loads_no_pool_module(self):
+        # In a fresh interpreter: this module imports concurrent.futures.
+        code = ("import sys, rindices.cli\n"
+                "loaded = {'concurrent.futures', 'multiprocessing'}\n"
+                "sys.exit(' '.join(sorted(loaded & set(sys.modules)))"
+                " or None)\n")
+        result = subprocess.run([sys.executable, "-c", code],
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
 
     @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
     def test_jobs_below_1_usage_error(self, jobs, tmp_path):

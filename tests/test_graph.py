@@ -141,8 +141,8 @@ class TestGraphCore:
         [(5, 1), (1, 40)],                  # out of range
     ])
     def test_first_fault_with_isolated_vertices(self, edges):
-        # 40 vertices and at most 6 edge ends: the build that leaves
-        # isolated vertices without a list of their own.
+        # 40 vertices and at most 6 edge ends: most vertices are isolated
+        # and share the empty tuple.
         kind, message = reference_scan_error(40, edges)
         with pytest.raises(kind) as info:
             build_graph(40, iter(edges))
