@@ -200,19 +200,19 @@ def _batch_chunk(items):
     return text.getvalue()
 
 
-@contextlib.contextmanager
-def _ordered_mapper(workers):
-    """A map(fn, items) for `workers` processes. One worker maps in this
-    process; more run each call in a process pool, yield the results in
-    input order and keep at most 2 * workers calls in flight, so memory
-    stays flat however slowly the results are consumed. A worker that
-    dies raises WorkerDiedError rather than leaving the run waiting."""
+def _map_ordered(fn, items, workers):
+    """fn over items, as map(fn, items) with `workers` processes. One
+    worker maps in this process; more run each call in a process pool,
+    yield the results in input order and keep at most 2 * workers calls
+    in flight, so memory stays flat however slowly the results are
+    consumed. A worker that dies raises WorkerDiedError rather than
+    leaving the run waiting."""
     if workers == 1:
-        yield map
+        yield from map(fn, items)
         return
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        def pool_map(fn, items):
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             pending = deque()
             for item in items:
                 pending.append(pool.submit(fn, item))
@@ -220,11 +220,9 @@ def _ordered_mapper(workers):
                     yield pending.popleft().result()
             while pending:
                 yield pending.popleft().result()
-        try:
-            yield pool_map
-        except BrokenExecutor:
-            raise WorkerDiedError("a batch worker process died before "
-                                  "returning its rows") from None
+    except BrokenExecutor:
+        raise WorkerDiedError("a batch worker process died before "
+                              "returning its rows") from None
 
 
 def cmd_batch(args):
@@ -238,9 +236,9 @@ def cmd_batch(args):
             return EXIT_USAGE
         items = _graph6_lines(f)
         chunks = iter(lambda: list(islice(items, BATCH_CHUNK)), [])
-        with _open_out(args.out) as out, _ordered_mapper(workers) as mapper:
+        with _open_out(args.out) as out:
             csv.writer(out, lineterminator="\n").writerow(BATCH_CSV_HEADER)
-            out.writelines(mapper(_batch_chunk, chunks))
+            out.writelines(_map_ordered(_batch_chunk, chunks, workers))
     return 0
 
 

@@ -19,6 +19,7 @@ vertex classification:
 """
 
 import io
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -88,24 +89,6 @@ class DiscrepancyReport:
         )
 
 
-_PATH_SMALL = {
-    3: {RIndex.R1: 41, RIndex.R2: 24, RIndex.R3: 14},
-    4: {RIndex.R1: 82, RIndex.R2: 65, RIndex.R3: 28},
-}
-
-
-def _path_corrected(index):
-    slope = {RIndex.R1: 64, RIndex.R2: 64, RIndex.R3: 16}[index]
-    offset = {RIndex.R1: -174, RIndex.R2: -200, RIndex.R3: -36}[index]
-
-    def expr(n):
-        if n in _PATH_SMALL:
-            return _PATH_SMALL[n][index]
-        return slope * n + offset
-
-    return expr
-
-
 VARIANTS = [
     # Complete graphs: statement and proof agree; both correct.
     ClosedFormVariant(
@@ -142,11 +125,11 @@ VARIANTS = [
     ClosedFormVariant(Family.PATH, RIndex.R3, Source.PAPER_PROOF,
                       lambda n: 16 * n - 22),
     ClosedFormVariant(Family.PATH, RIndex.R1, Source.CORRECTED,
-                      _path_corrected(RIndex.R1)),
+                      lambda n: {3: 41, 4: 82}.get(n, 64 * n - 174)),
     ClosedFormVariant(Family.PATH, RIndex.R2, Source.CORRECTED,
-                      _path_corrected(RIndex.R2)),
+                      lambda n: {3: 24, 4: 65}.get(n, 64 * n - 200)),
     ClosedFormVariant(Family.PATH, RIndex.R3, Source.CORRECTED,
-                      _path_corrected(RIndex.R3)),
+                      lambda n: {3: 14, 4: 28}.get(n, 16 * n - 36)),
     # Stars: the second and third index claims are correct; the first
     # counts only the central vertex, so a corrected form is added.
     ClosedFormVariant(Family.STAR, RIndex.R1, Source.PAPER_STATEMENT,
@@ -194,18 +177,9 @@ def verify_family(family, n_range):
                 claimed=variant.evaluate(n),
                 computed=getattr(report, variant.index.value),
             ))
-    source_order = [Source.PAPER_STATEMENT, Source.PAPER_PROOF,
-                    Source.CORRECTED]
-    rows.sort(key=lambda r: (r.index.value, r.n, source_order.index(r.source)))
+    rows.sort(key=lambda r: (r.index.value, r.n,
+                             list(Source).index(r.source)))
     return DiscrepancyReport(rows=tuple(rows))
-
-
-def format_rational(q):
-    """Exact decimal string for integers, 'p/q' for proper rationals."""
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
 
 
 VERIFY_CSV_HEADER = "family,index,n,source,claimed,computed,verdict"
@@ -219,23 +193,18 @@ def report_to_csv(report):
         verdict = "Match" if row.match else "Mismatch"
         out.write(
             f"{row.family.value},{row.index.value},{row.n},"
-            f"{row.source.value},{format_rational(row.claimed)},"
-            f"{row.computed},{verdict}\n"
+            f"{row.source.value},{row.claimed},{row.computed},{verdict}\n"
         )
     return out.getvalue()
 
 
 def report_summary(report):
     """Per-source match/mismatch counts as a small text table."""
-    counts = {}
-    for row in report.rows:
-        key = (row.family.value, row.source.value)
-        ok, bad = counts.get(key, (0, 0))
-        if row.match:
-            counts[key] = (ok + 1, bad)
-        else:
-            counts[key] = (ok, bad + 1)
+    counts = Counter((row.family.value, row.source.value, row.match)
+                     for row in report.rows)
     lines = [f"{'family':<10} {'source':<10} {'match':>7} {'mismatch':>9}"]
-    for (family, source), (ok, bad) in sorted(counts.items()):
-        lines.append(f"{family:<10} {source:<10} {ok:>7} {bad:>9}")
+    for family, source in sorted({key[:2] for key in counts}):
+        lines.append(f"{family:<10} {source:<10} "
+                     f"{counts[family, source, True]:>7} "
+                     f"{counts[family, source, False]:>9}")
     return "\n".join(lines) + "\n"

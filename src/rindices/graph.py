@@ -1,9 +1,10 @@
 """Simple undirected graph representation, family generators and parsers.
 
-Vertices are dense 0-based integer ids. Graphs are immutable after
-construction and simple (no loops, no duplicate edges): edge input is
-validated, and the graph6 decoder and the family generator build
-neighbour lists that cannot break this.
+Vertices are dense 0-based integer ids. A graph is stored once, as sorted
+neighbour tuples; its edge tuple is derived from them on each call.
+Graphs are immutable after construction and simple (no loops, no
+duplicate edges): edge input is validated, and the graph6 decoder and the
+family generator build neighbour lists that cannot break this.
 Connectivity is *not* required at construction time; index computations
 check it themselves.
 """
@@ -48,8 +49,8 @@ FAMILY_MIN_ORDER = {
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
-    The graph is stored once, as a sorted neighbour tuple per vertex; the
-    edge tuple is derived from those tuples on first use and cached.
+    The graph is stored once, as a sorted neighbour tuple per vertex;
+    edges() derives the edge tuple from those tuples on each call.
 
     Graph(n, edges) validates its input. The private
     Graph._from_sorted_adjacency(n, adjacency) validates nothing: its
@@ -59,7 +60,7 @@ class Graph:
     graph6 decoder and the family generator).
     """
 
-    __slots__ = ("_n", "_m", "_adjacency", "_degrees", "_edges")
+    __slots__ = ("_n", "_m", "_adjacency", "_degrees")
 
     def __init__(self, n, edges):
         """Build a graph from a vertex count and an iterable of edge pairs.
@@ -99,7 +100,6 @@ class Graph:
         self._m = len(edges)
         self._adjacency = adjacency
         self._degrees = tuple(map(len, adjacency))
-        self._edges = None
 
     @classmethod
     def _from_sorted_adjacency(cls, n, adjacency):
@@ -109,7 +109,6 @@ class Graph:
         g._adjacency = adjacency = tuple(map(tuple, adjacency))
         g._degrees = degrees = tuple(map(len, adjacency))
         g._m = sum(degrees) // 2
-        g._edges = None
         return g
 
     @property
@@ -133,12 +132,10 @@ class Graph:
         return self._degrees
 
     def edges(self):
-        """Edges as (u, v) with u < v, sorted lexicographically."""
-        if self._edges is None:
-            self._edges = tuple((u, v)
-                                for u, nbrs in enumerate(self._adjacency)
-                                for v in nbrs if v > u)
-        return self._edges
+        """Edges as (u, v) with u < v, sorted lexicographically; a new
+        tuple, derived from the neighbour tuples, on each call."""
+        return tuple((u, v) for u, nbrs in enumerate(self._adjacency)
+                     for v in nbrs if v > u)
 
     def neighbors(self, v):
         """Open neighborhood of v as a sorted tuple."""
@@ -256,28 +253,23 @@ def generate_random_connected(n, edge_probability, seed):
 # Largest order an edge-list header may declare: a Graph holds one pointer
 # per vertex, so an unbounded header could exhaust memory from one line.
 MAX_ORDER = 10_000_000
+# An integer in ASCII digits with an optional minus sign. Edge-list ids
+# and orders are plain digits; a token that fits this and is not plain
+# digits is refused for its sign alone, and the message says so.
+_SIGNED = re.compile(r"-?[0-9]+")
 
 
 def parse_edge_list(text):
     """Parse the edge-list format.
 
-    One edge per line as two whitespace-separated nonnegative integers;
-    blank lines and '#' comments ignored. An optional first data line
-    "n <count>" declares the order (allowing isolated trailing vertices);
-    an order above MAX_ORDER raises OrderTooLargeError.
-    Without a header, vertex ids are compacted to a dense 0-based range.
+    One edge per line as two whitespace-separated vertex ids; blank lines
+    and '#' comments ignored. An optional first data line "n <count>"
+    declares the order (allowing isolated trailing vertices); an order
+    above MAX_ORDER raises OrderTooLargeError. Ids and the order are
+    plain ASCII decimal digits: no sign, underscore or other digit.
+    Without a header, vertex ids are compacted to a dense 0-based range
+    in ascending order.
     """
-    return _parse_edge_list(text)[0]
-
-
-def parse_edge_list_with_mapping(text):
-    """As parse_edge_list, also returning {original id: internal id}."""
-    g, mapping = _parse_edge_list(text)
-    return g, ({i: i for i in range(g.n)} if mapping is None else mapping)
-
-
-def _parse_edge_list(text):
-    """The graph and its id mapping, which is None under a header."""
     declared_n = None
     raw_edges = []
     first_data_line = True
@@ -291,16 +283,16 @@ def _parse_edge_list(text):
                 raise EdgeListSyntaxError(
                     f"line {lineno}: header must be 'n <count>'"
                 )
-            try:
-                declared_n = int(tokens[1])
-            except ValueError:
+            order = tokens[1]
+            if not (order.isascii() and order.isdigit()):
+                if _SIGNED.fullmatch(order):
+                    raise EdgeListSyntaxError(
+                        f"line {lineno}: negative order {order}"
+                    )
                 raise EdgeListSyntaxError(
-                    f"line {lineno}: non-integer order {tokens[1]!r}"
-                ) from None
-            if declared_n < 0:
-                raise EdgeListSyntaxError(
-                    f"line {lineno}: negative order {declared_n}"
+                    f"line {lineno}: non-integer order {order!r}"
                 )
+            declared_n = int(order)
             if declared_n > MAX_ORDER:
                 raise OrderTooLargeError(
                     f"line {lineno}: order {declared_n} exceeds {MAX_ORDER}"
@@ -312,25 +304,23 @@ def _parse_edge_list(text):
             raise EdgeListSyntaxError(
                 f"line {lineno}: expected two vertex ids, got {stripped!r}"
             )
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
+        u, v = tokens
+        digits = u + v
+        if not (digits.isascii() and digits.isdigit()):
+            fault = ("negative vertex id"
+                     if all(map(_SIGNED.fullmatch, tokens))
+                     else "non-integer token")
             raise EdgeListSyntaxError(
-                f"line {lineno}: non-integer token in {stripped!r}"
-            ) from None
-        if u < 0 or v < 0:
-            raise EdgeListSyntaxError(
-                f"line {lineno}: negative vertex id in {stripped!r}"
+                f"line {lineno}: {fault} in {stripped!r}"
             )
-        raw_edges.append((u, v))
+        raw_edges.append((int(u), int(v)))
 
     if declared_n is not None:
-        return Graph(declared_n, raw_edges), None
+        return Graph(declared_n, raw_edges)
 
     ids = sorted({u for e in raw_edges for u in e})
     mapping = {orig: i for i, orig in enumerate(ids)}
-    edges = [(mapping[u], mapping[v]) for u, v in raw_edges]
-    return Graph(len(ids), edges), mapping
+    return Graph(len(ids), [(mapping[u], mapping[v]) for u, v in raw_edges])
 
 
 def write_edge_list(g):

@@ -150,3 +150,17 @@ class TestSerialization:
         report = verify_family(Family.CYCLE, range(3, 13))
         summary = report_summary(report)
         assert "cycle" in summary and "30" in summary
+
+    # Star statements mismatch at r1 only, and the corrected star form
+    # never does; path statements and proofs never match.
+    @pytest.mark.parametrize("family, body", [
+        (Family.STAR, "star       corrected        3         0\n"
+                      "star       statement        6         3\n"),
+        (Family.PATH, "path       corrected        9         0\n"
+                      "path       proof            0         9\n"
+                      "path       statement        0         9\n"),
+    ])
+    def test_summary_exact_text(self, family, body):
+        report = verify_family(family, range(3, 6))
+        assert report_summary(report) == (
+            "family     source       match  mismatch\n" + body)

@@ -31,11 +31,7 @@ from rindices import (
     write_edge_list,
     write_graph6,
 )
-from rindices.graph import (
-    FAMILY_MIN_ORDER,
-    _graph6_order,
-    parse_edge_list_with_mapping,
-)
+from rindices.graph import FAMILY_MIN_ORDER, _graph6_order
 
 
 def assert_matches_validated_build(g):
@@ -249,14 +245,33 @@ class TestEdgeListParser:
         with pytest.raises(EdgeListSyntaxError):
             parse_edge_list("0 x\n")
 
+    # int() reads each of these; ids and the order are plain ASCII digits.
+    @pytest.mark.parametrize("text", [
+        "1_0 2\n", "+1 2\n", "\uff11 \uff12\n",
+        "n +3\n0 1\n1 2\n", "n 0_3\n0 1\n1 2\n",
+    ])
+    def test_non_canonical_integer_rejected(self, text):
+        with pytest.raises(EdgeListSyntaxError):
+            parse_edge_list(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("0 x\n", "line 1: non-integer token in '0 x'"),
+        ("-1 x\n", "line 1: non-integer token in '-1 x'"),
+        ("0 -1\n", "line 1: negative vertex id in '0 -1'"),
+        ("n x\n0 1\n", "line 1: non-integer order 'x'"),
+        ("n -3\n0 1\n", "line 1: negative order -3"),
+    ])
+    def test_edge_list_syntax_messages(self, text, message):
+        with pytest.raises(EdgeListSyntaxError, match=f"^{message}$"):
+            parse_edge_list(text)
+
     def test_header_allows_isolated_vertices(self):
         g = parse_edge_list("n 4\n0 1\n")
         assert g.n == 4 and g.m == 1
 
     def test_sparse_ids_compacted(self):
-        g, mapping = parse_edge_list_with_mapping("10 20\n20 30\n")
-        assert g.n == 3 and g.m == 2
-        assert mapping == {10: 0, 20: 1, 30: 2}
+        assert parse_edge_list("10 20\n20 30\n") == \
+            build_graph(3, [(0, 1), (1, 2)])
 
     def test_one_based_input_normalized(self):
         g = parse_edge_list("1 2\n2 3\n")
