@@ -4,7 +4,9 @@ Vertices are dense 0-based integer ids. A graph is stored once, as sorted
 neighbour tuples; its edge tuple is derived from them on each call.
 Graphs are immutable after construction and simple (no loops, no
 duplicate edges): edge input is validated, and the graph6 decoder and the
-family generator build neighbour lists that cannot break this.
+family generator build neighbour lists that cannot break this. Edge-list
+text is read chunk by chunk into the adjacency build, and every neighbour
+entry naming a vertex is that vertex's one shared int.
 Connectivity is *not* required at construction time; index computations
 check it themselves.
 """
@@ -12,7 +14,6 @@ check it themselves.
 import random
 import re
 from enum import Enum
-from operator import itemgetter
 
 from .errors import (
     DuplicateEdgeError,
@@ -57,7 +58,8 @@ class Graph:
     caller guarantees that every neighbour list is sorted, in 0..n-1,
     free of loops and repeats, and that u lists v iff v lists u. Only
     builders whose construction cannot break that contract use it (the
-    graph6 decoder and the family generator).
+    graph6 decoder, the family generator, and parse_edge_list on lists
+    that _sorted_adjacency built and checked).
     """
 
     __slots__ = ("_n", "_m", "_adjacency", "_degrees")
@@ -72,29 +74,10 @@ class Graph:
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         edges = list(edges)
-        # A vertex gets a list at its first edge; isolated ones share the
-        # empty tuple, so a large declared order costs a pointer per
-        # vertex. A list here is never empty.
-        adjacency = [()] * n
-        try:
-            for u, v in edges:
-                a = adjacency[u]
-                if not a:
-                    a = adjacency[u] = []
-                a.append(v)
-                a = adjacency[v]
-                if not a:
-                    a = adjacency[v] = []
-                a.append(u)
-        except IndexError:
-            _raise_first_fault(n, edges)
-            raise
-        adjacency = tuple([tuple(sorted(a)) for a in adjacency])
-        # A loop or a repeated edge repeats a neighbour within one list; a
-        # negative id indexes from the end, so it shows only as a value.
-        if (sum(map(len, map(set, adjacency))) != 2 * len(edges)
-                or min(map(itemgetter(0), filter(None, adjacency)),
-                       default=0) < 0):
+        adjacency = _sorted_adjacency(n, edges)
+        # A negative id indexes from the end, and an entry names the int
+        # that first named its vertex, so the build alone may miss one.
+        if adjacency is None or min(map(min, edges), default=0) < 0:
             _raise_first_fault(n, edges)
         self._n = n
         self._m = len(edges)
@@ -161,6 +144,45 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self._n}, m={self.m})"
+
+
+def _sorted_adjacency(n, pairs):
+    """Sorted neighbour tuples of vertices 0..n-1 from (u, v) id pairs, or
+    None if a pair holds an id of n or more (or below -n), a loop or a
+    repeated edge.
+
+    Every entry that names w is the one int object that first named w: a
+    vertex's list starts with that int, each pair appends the head of the
+    other end's list, and the head is dropped before sorting. A vertex gets
+    a list at its first edge; isolated ones share the empty tuple, so a
+    large order costs a pointer per vertex. Each list is sorted in place and
+    replaced by its tuple in turn, so the lists and the tuples never all
+    exist at once. A negative id indexes from the end: callers that can
+    pass one check for it.
+    """
+    adjacency = [()] * n
+    try:
+        for u, v in pairs:
+            a = adjacency[u]
+            if not a:
+                a = adjacency[u] = [u]
+            b = adjacency[v]
+            if not b:
+                b = adjacency[v] = [v]
+            a.append(b[0])
+            b.append(a[0])
+    except IndexError:
+        return None
+    ends = distinct = 0
+    for w, a in enumerate(adjacency):
+        if a:
+            del a[0]
+            a.sort()
+            ends += len(a)
+            distinct += len(set(a))
+            adjacency[w] = tuple(a)
+    # A loop or a repeated edge repeats a neighbour within one list.
+    return tuple(adjacency) if distinct == ends else None
 
 
 def _raise_first_fault(n, edges):
@@ -257,6 +279,8 @@ MAX_ORDER = 10_000_000
 # and orders are plain digits; a token that fits this and is not plain
 # digits is refused for its sign alone, and the message says so.
 _SIGNED = re.compile(r"-?[0-9]+")
+# Edge-list text is split into lines this many characters at a time.
+_CHUNK = 1 << 16
 
 
 def parse_edge_list(text):
@@ -266,61 +290,101 @@ def parse_edge_list(text):
     and '#' comments ignored. An optional first data line "n <count>"
     declares the order (allowing isolated trailing vertices); an order
     above MAX_ORDER raises OrderTooLargeError. Ids and the order are
-    plain ASCII decimal digits: no sign, underscore or other digit.
-    Without a header, vertex ids are compacted to a dense 0-based range
-    in ascending order.
+    plain ASCII decimal digits, without leading zeros: no sign,
+    underscore or other digit. Without a header, vertex ids are
+    compacted to a dense 0-based range in ascending order.
+
+    The text is split into lines one chunk of about 64 Ki characters at
+    a time. With a header, each edge goes straight into the adjacency
+    build, with no list of lines or edges, and each vertex has one
+    shared int. On a graph fault the text is read again in full: a
+    syntax error anywhere wins, then the first faulty edge in input order.
     """
-    declared_n = None
-    raw_edges = []
-    first_data_line = True
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens = stripped.split()
-        if first_data_line and tokens[0] == "n":
+    items = _edge_list_items(text)
+    n = next(items)
+    if n is None:
+        edges = list(items)
+        ids = sorted({w for e in edges for w in e})
+        mapping = {w: i for i, w in enumerate(ids)}
+        return Graph(len(ids), [(mapping[u], mapping[v]) for u, v in edges])
+    adjacency = _sorted_adjacency(n, items)
+    if adjacency is None:
+        _raise_first_fault(n, list(_edge_list_items(text))[1:])
+    return Graph._from_sorted_adjacency(n, adjacency)
+
+
+def _edge_list_items(text):
+    """Yield the order an "n <count>" header declares, or None without a
+    header, then a (u, v) pair of ints for each edge line; raise
+    EdgeListSyntaxError at the first malformed line.
+
+    The text is cut into pieces of about _CHUNK characters, each just
+    after a '\\n', and split into lines one piece at a time. A cut after
+    '\\n' never splits a '\\r\\n', so lines are numbered exactly as
+    str.splitlines numbers them.
+    """
+    header = True
+    lineno = start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK) + 1 or len(text)
+        for lineno, line in enumerate(text[start:end].splitlines(),
+                                      lineno + 1):
+            stripped = line.strip()
+            if not stripped or stripped[0] == "#":
+                continue
+            tokens = stripped.split()
+            if header:
+                header = False
+                if tokens[0] == "n":
+                    yield _declared_order(lineno, tokens)
+                    continue
+                yield None
             if len(tokens) != 2:
                 raise EdgeListSyntaxError(
-                    f"line {lineno}: header must be 'n <count>'"
+                    f"line {lineno}: expected two vertex ids, got {stripped!r}"
                 )
-            order = tokens[1]
-            if not (order.isascii() and order.isdigit()):
-                if _SIGNED.fullmatch(order):
-                    raise EdgeListSyntaxError(
-                        f"line {lineno}: negative order {order}"
-                    )
+            u, v = tokens
+            digits = u + v
+            if not (digits.isascii() and digits.isdigit()):
+                fault = ("negative vertex id"
+                         if all(map(_SIGNED.fullmatch, tokens))
+                         else "non-integer token")
                 raise EdgeListSyntaxError(
-                    f"line {lineno}: non-integer order {order!r}"
+                    f"line {lineno}: {fault} in {stripped!r}"
                 )
-            declared_n = int(order)
-            if declared_n > MAX_ORDER:
-                raise OrderTooLargeError(
-                    f"line {lineno}: order {declared_n} exceeds {MAX_ORDER}"
+            if u[0] == "0" != u or v[0] == "0" != v:
+                raise EdgeListSyntaxError(
+                    f"line {lineno}: zero-padded vertex id in {stripped!r}"
                 )
-            first_data_line = False
-            continue
-        first_data_line = False
-        if len(tokens) != 2:
-            raise EdgeListSyntaxError(
-                f"line {lineno}: expected two vertex ids, got {stripped!r}"
-            )
-        u, v = tokens
-        digits = u + v
-        if not (digits.isascii() and digits.isdigit()):
-            fault = ("negative vertex id"
-                     if all(map(_SIGNED.fullmatch, tokens))
-                     else "non-integer token")
-            raise EdgeListSyntaxError(
-                f"line {lineno}: {fault} in {stripped!r}"
-            )
-        raw_edges.append((int(u), int(v)))
+            yield int(u), int(v)
+        start = end
+    if header:
+        yield None
 
-    if declared_n is not None:
-        return Graph(declared_n, raw_edges)
 
-    ids = sorted({u for e in raw_edges for u in e})
-    mapping = {orig: i for i, orig in enumerate(ids)}
-    return Graph(len(ids), [(mapping[u], mapping[v]) for u, v in raw_edges])
+def _declared_order(lineno, tokens):
+    """The order an "n <count>" header line declares."""
+    if len(tokens) != 2:
+        raise EdgeListSyntaxError(
+            f"line {lineno}: header must be 'n <count>'"
+        )
+    order = tokens[1]
+    if not (order.isascii() and order.isdigit()):
+        if _SIGNED.fullmatch(order):
+            raise EdgeListSyntaxError(f"line {lineno}: negative order {order}")
+        raise EdgeListSyntaxError(
+            f"line {lineno}: non-integer order {order!r}"
+        )
+    if order[0] == "0" != order:
+        raise EdgeListSyntaxError(
+            f"line {lineno}: zero-padded order {order!r}"
+        )
+    n = int(order)
+    if n > MAX_ORDER:
+        raise OrderTooLargeError(
+            f"line {lineno}: order {n} exceeds {MAX_ORDER}"
+        )
+    return n
 
 
 def write_edge_list(g):

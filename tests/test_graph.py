@@ -31,7 +31,7 @@ from rindices import (
     write_edge_list,
     write_graph6,
 )
-from rindices.graph import FAMILY_MIN_ORDER, _graph6_order
+from rindices.graph import _CHUNK, FAMILY_MIN_ORDER, _graph6_order
 
 
 def assert_matches_validated_build(g):
@@ -305,6 +305,82 @@ class TestEdgeListParser:
             (n, 1, (0,), ())
         assert peak < 32 * n
 
+    # A lone 0 is canonical; a zero-padded id is one more spelling of a
+    # vertex, and a zero-padded order one more spelling of the order.
+    @pytest.mark.parametrize("text, message", [
+        ("1 2\n01 3\n", "line 2: zero-padded vertex id in '01 3'"),
+        ("0 1\n1 00\n", "line 2: zero-padded vertex id in '1 00'"),
+        ("n 003\n0 1\n", "line 1: zero-padded order '003'"),
+        ("0 1\n", None),
+        ("n 0\n", None),
+    ])
+    def test_zero_padded_integer_rejected(self, text, message):
+        if message is None:
+            assert parse_edge_list(text).n == (2 if text == "0 1\n" else 0)
+            return
+        with pytest.raises(EdgeListSyntaxError, match=f"^{message}$"):
+            parse_edge_list(text)
+
+    def test_ingest_memory_per_edge(self):
+        # Held lines, a list of edges or an int per neighbour entry would
+        # each cost more than this bound.
+        n, m = 20_000, 40_000
+        rng = random.Random(20)
+        edges = set()
+        while len(edges) < m:
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v:
+                edges.add((min(u, v), max(u, v)))
+        lines = [f"{u} {v}" if rng.random() < 0.5 else f"{v} {u}"
+                 for u, v in sorted(edges)]
+        rng.shuffle(lines)
+        text = f"n {n}\n" + "\n".join(lines) + "\n"
+        tracemalloc.start()
+        try:
+            g = parse_edge_list(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g == build_graph(n, sorted(edges))
+        assert peak < 128 * m
+        # Every entry naming a vertex is that vertex's one int object.
+        named = {id(w) for nbrs in g.adjacency for w in nbrs}
+        assert len(named) == sum(1 for d in g.degrees if d)
+
+    def test_later_syntax_error_wins_over_graph_fault(self):
+        with pytest.raises(EdgeListSyntaxError,
+                           match="^line 3: non-integer token in '0 x'$"):
+            parse_edge_list("n 3\n0 5\n0 x\n")
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1), (1, 2), (2, 1), (0, 5)],   # duplicate, then out of range
+        [(0, 1), (2, 2), (1, 3)],           # loop
+        [(3, 1), (0, 2), (1, 3)],           # repeat, opposite orientation
+    ])
+    def test_first_fault_decides_error(self, edges):
+        kind, message = reference_scan_error(4, edges)
+        text = "n 4\n" + "".join(f"{u} {v}\n" for u, v in edges)
+        with pytest.raises(kind) as info:
+            parse_edge_list(text)
+        assert type(info.value) is kind
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("shift", range(-3, 4))
+    def test_line_numbers_across_chunk_boundary(self, shift):
+        # Comment lines fill the text up to the first chunk boundary,
+        # where '\r\n', '\x0c' and '\u2028' line breaks meet it: a cut
+        # inside a '\r\n' would count one line too many.
+        head = "n 3\n0 1\n"
+        filler = "# " + "x" * 77 + "\n"
+        body = head + filler * ((_CHUNK - len(head)) // len(filler) - 1)
+        body += "#\u2028#\x0c"
+        body += "#" * (_CHUNK - len(body) + shift) + "\r\n"
+        text = body + "1 2\x0c#\u2028\r\n\n2 x\n0 2\n"
+        lineno = text.splitlines().index("2 x") + 1
+        with pytest.raises(EdgeListSyntaxError,
+                           match=f"^line {lineno}: non-integer token"):
+            parse_edge_list(text)
+
 
 class TestGraph6:
     def test_single_vertex(self):
@@ -457,3 +533,38 @@ def test_graph6_decoder_agrees_with_networkx(text):
     assert g.n == expected.number_of_nodes()
     assert set(g.edges()) == {(min(e), max(e)) for e in expected.edges()}
     assert_matches_validated_build(g)
+
+
+@st.composite
+def header_edge_lists(draw):
+    """(n, pairs) of a header edge list: distinct edges in either
+    orientation, and at times one loop, repeat or out-of-range id."""
+    n = draw(st.integers(2, 25))
+    # v skips u, so no pair is a loop.
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 2))
+        .map(lambda e: (e[0], e[1] + (e[1] >= e[0]))),
+        max_size=40, unique_by=frozenset))
+    if draw(st.booleans()):
+        w = draw(st.integers(0, n))
+        faults = [(w, w), (w, n)] + [pair[::-1] for pair in pairs[:1]]
+        pairs.insert(draw(st.integers(0, len(pairs))),
+                     draw(st.sampled_from(faults)))
+    return n, pairs
+
+
+@given(header_edge_lists(), st.sampled_from(["\n", "\r\n", "\r", "\x0b"]))
+@settings(max_examples=300, deadline=None)
+def test_edge_list_parse_matches_build_graph(case, newline):
+    """parse_edge_list on a header edge list returns build_graph of the
+    same pairs, or raises the same error of the first faulty edge."""
+    n, pairs = case
+    text = newline.join([f"n {n}"] + [f"{u} {v}" for u, v in pairs])
+    fault = reference_scan_error(n, pairs)
+    if fault is None:
+        assert parse_edge_list(text) == build_graph(n, pairs)
+        return
+    kind, message = fault
+    with pytest.raises(kind) as info:
+        parse_edge_list(text)
+    assert str(info.value) == message
