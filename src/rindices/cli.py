@@ -44,10 +44,6 @@ EXIT_DISCONNECTED = 3
 EXIT_BROKEN_PIPE = 141
 
 
-class WorkerDiedError(Exception):
-    """A batch worker process ended before returning its chunk."""
-
-
 INDEX_NAMES = ["r1", "r2", "r3", "abc", "ga", "h", "chi",
                "zagreb1", "zagreb2", "randic"]
 
@@ -205,7 +201,7 @@ def _map_ordered(fn, items, workers):
     worker maps in this process; more run each call in a process pool,
     yield the results in input order and keep at most 2 * workers calls
     in flight, so memory stays flat however slowly the results are
-    consumed. A worker that dies raises WorkerDiedError rather than
+    consumed. A worker that dies raises ChildProcessError rather than
     leaving the run waiting."""
     if workers == 1:
         yield from map(fn, items)
@@ -221,8 +217,8 @@ def _map_ordered(fn, items, workers):
             while pending:
                 yield pending.popleft().result()
     except BrokenExecutor:
-        raise WorkerDiedError("a batch worker process died before "
-                              "returning its rows") from None
+        raise ChildProcessError("a batch worker process died before "
+                                "returning its rows") from None
 
 
 def cmd_batch(args):
@@ -231,9 +227,7 @@ def cmd_batch(args):
         # Opening --out truncates it before a line of the input is read.
         if args.out and os.path.exists(args.out) \
                 and os.path.samefile(args.path, args.out):
-            print(f"error: --out {args.out} is the input file",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            raise OSError(f"--out {args.out} is the input file")
         items = _graph6_lines(f)
         chunks = iter(lambda: list(islice(items, BATCH_CHUNK)), [])
         with _open_out(args.out) as out:
@@ -304,9 +298,9 @@ def main(argv=None):
     except DisconnectedGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DISCONNECTED
-    except (GraphError, OSError, WorkerDiedError) as exc:
-        # Bad input, a file that cannot be opened, read or written, or a
-        # lost batch worker.
+    except (GraphError, OSError) as exc:
+        # Bad input, a file that cannot be opened, read or written, an
+        # --out that is the input, or a lost batch worker (an OSError).
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -5,14 +5,15 @@ neighbour tuples; its edge tuple is derived from them on each call.
 Graphs are immutable after construction and simple (no loops, no
 duplicate edges): edge input is validated, and the graph6 decoder and the
 family generator build neighbour lists that cannot break this. Edge-list
-text is read chunk by chunk into the adjacency build, and every neighbour
-entry naming a vertex is that vertex's one shared int.
+text, with or without a header, goes into one adjacency build, and every
+neighbour entry naming a vertex is that vertex's one shared int.
 Connectivity is *not* required at construction time; index computations
 check it themselves.
 """
 
 import random
 import re
+import sys
 from enum import Enum
 
 from .errors import (
@@ -291,25 +292,30 @@ def parse_edge_list(text):
     declares the order (allowing isolated trailing vertices); an order
     above MAX_ORDER raises OrderTooLargeError. Ids and the order are
     plain ASCII decimal digits, without leading zeros: no sign,
-    underscore or other digit. Without a header, vertex ids are
-    compacted to a dense 0-based range in ascending order.
+    underscore or other digit; an id longer than int() reads is a
+    syntax error. Without a header, vertex ids are compacted to a dense
+    0-based range in ascending order.
 
     The text is split into lines one chunk of about 64 Ki characters at
-    a time. With a header, each edge goes straight into the adjacency
-    build, with no list of lines or edges, and each vertex has one
-    shared int. On a graph fault the text is read again in full: a
+    a time, and every list takes one build with one shared int per
+    vertex. Headed pairs stream straight into it; header-less ones are
+    held once and mapped through the compaction index. On a graph fault
+    the pairs are read again, header-less ones through the same index: a
     syntax error anywhere wins, then the first faulty edge in input order.
     """
     items = _edge_list_items(text)
     n = next(items)
+    replay = lambda: list(_edge_list_items(text))[1:]
     if n is None:
-        edges = list(items)
-        ids = sorted({w for e in edges for w in e})
-        mapping = {w: i for i, w in enumerate(ids)}
-        return Graph(len(ids), [(mapping[u], mapping[v]) for u, v in edges])
+        held = list(items)
+        index = {w: i for i, w in
+                 enumerate(sorted({w for pair in held for w in pair}))}
+        n = len(index)
+        replay = lambda: ((index[u], index[v]) for u, v in held)
+        items = replay()
     adjacency = _sorted_adjacency(n, items)
     if adjacency is None:
-        _raise_first_fault(n, list(_edge_list_items(text))[1:])
+        _raise_first_fault(n, replay())
     return Graph._from_sorted_adjacency(n, adjacency)
 
 
@@ -321,43 +327,49 @@ def _edge_list_items(text):
     The text is cut into pieces of about _CHUNK characters, each just
     after a '\\n', and split into lines one piece at a time. A cut after
     '\\n' never splits a '\\r\\n', so lines are numbered exactly as
-    str.splitlines numbers them.
+    str.splitlines numbers them. An id longer than int() reads is a
+    syntax error, caught once around the loop and not on every line.
     """
     header = True
     lineno = start = 0
-    while start < len(text):
-        end = text.find("\n", start + _CHUNK) + 1 or len(text)
-        for lineno, line in enumerate(text[start:end].splitlines(),
-                                      lineno + 1):
-            stripped = line.strip()
-            if not stripped or stripped[0] == "#":
-                continue
-            tokens = stripped.split()
-            if header:
-                header = False
-                if tokens[0] == "n":
-                    yield _declared_order(lineno, tokens)
+    try:
+        while start < len(text):
+            end = text.find("\n", start + _CHUNK) + 1 or len(text)
+            for lineno, line in enumerate(text[start:end].splitlines(),
+                                          lineno + 1):
+                stripped = line.strip()
+                if not stripped or stripped[0] == "#":
                     continue
-                yield None
-            if len(tokens) != 2:
-                raise EdgeListSyntaxError(
-                    f"line {lineno}: expected two vertex ids, got {stripped!r}"
-                )
-            u, v = tokens
-            digits = u + v
-            if not (digits.isascii() and digits.isdigit()):
-                fault = ("negative vertex id"
-                         if all(map(_SIGNED.fullmatch, tokens))
-                         else "non-integer token")
-                raise EdgeListSyntaxError(
-                    f"line {lineno}: {fault} in {stripped!r}"
-                )
-            if u[0] == "0" != u or v[0] == "0" != v:
-                raise EdgeListSyntaxError(
-                    f"line {lineno}: zero-padded vertex id in {stripped!r}"
-                )
-            yield int(u), int(v)
-        start = end
+                tokens = stripped.split()
+                if header:
+                    header = False
+                    if tokens[0] == "n":
+                        yield _declared_order(lineno, tokens)
+                        continue
+                    yield None
+                if len(tokens) != 2:
+                    raise EdgeListSyntaxError(
+                        f"line {lineno}: expected two vertex ids, "
+                        f"got {stripped!r}")
+                u, v = tokens
+                digits = u + v
+                if not (digits.isascii() and digits.isdigit()):
+                    fault = ("negative vertex id"
+                             if all(map(_SIGNED.fullmatch, tokens))
+                             else "non-integer token")
+                    raise EdgeListSyntaxError(
+                        f"line {lineno}: {fault} in {stripped!r}"
+                    )
+                if u[0] == "0" != u or v[0] == "0" != v:
+                    raise EdgeListSyntaxError(
+                        f"line {lineno}: zero-padded vertex id "
+                        f"in {stripped!r}")
+                yield int(u), int(v)
+            start = end
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise EdgeListSyntaxError(
+            f"line {lineno}: vertex id longer than {limit} digits") from None
     if header:
         yield None
 
@@ -379,12 +391,11 @@ def _declared_order(lineno, tokens):
         raise EdgeListSyntaxError(
             f"line {lineno}: zero-padded order {order!r}"
         )
-    n = int(order)
-    if n > MAX_ORDER:
+    if len(order) > len(str(MAX_ORDER)) or int(order) > MAX_ORDER:
         raise OrderTooLargeError(
-            f"line {lineno}: order {n} exceeds {MAX_ORDER}"
+            f"line {lineno}: order {order} exceeds {MAX_ORDER}"
         )
-    return n
+    return int(order)
 
 
 def write_edge_list(g):

@@ -87,6 +87,24 @@ class TestCompute:
             assert result.returncode == 2
             assert "exceeds" in result.stderr
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="int() has no digit limit")
+    @pytest.mark.parametrize("text", [
+        "1 " + "9" * 5000, "n 3\n0 " + "9" * 5000, "n " + "9" * 5000,
+    ], ids=["id", "id-after-header", "order"])
+    def test_beyond_int_digit_limit_exit_2(self, tmp_path, text):
+        # Past int()'s default 4,300-digit limit a ValueError crashed the
+        # run with a traceback.
+        if not 0 < sys.get_int_max_str_digits() < 5000:
+            pytest.skip("int() reads 5,000 digits here")
+        path = tmp_path / "long.edges"
+        path.write_text(text)
+        result = run_cli("compute", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: line ")
+        assert result.stderr.count("\n") == 1
+
     def test_zagreb_printed_exactly(self, tmp_path):
         # Both Zagreb values of this star pass 10^9, where 9 significant
         # digits would no longer hold them.

@@ -1,6 +1,7 @@
 """Graph construction, validation, family generators and the two parsers."""
 
 import random
+import sys
 import tracemalloc
 
 import networkx as nx
@@ -347,6 +348,35 @@ class TestEdgeListParser:
         named = {id(w) for nbrs in g.adjacency for w in nbrs}
         assert len(named) == sum(1 for d in g.degrees if d)
 
+    def test_header_less_ingest_memory_per_edge(self):
+        # Gapped ids in a shuffled list without a header: the held pairs
+        # and the compaction index fit this bound, but a second, mapped
+        # list of pairs and a copy of it (about 290 B per edge) do not.
+        n, m = 20_000, 40_000
+        rng = random.Random(21)
+        edges = set()
+        while len(edges) < m:
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v:
+                edges.add((min(u, v), max(u, v)))
+        lines = [f"{3 * u + 1} {3 * v + 1}" if rng.random() < 0.5
+                 else f"{3 * v + 1} {3 * u + 1}" for u, v in sorted(edges)]
+        rng.shuffle(lines)
+        text = "\n".join(lines) + "\n"
+        tracemalloc.start()
+        try:
+            g = parse_edge_list(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        index = {w: i for i, w in enumerate(sorted({w for e in edges
+                                                     for w in e}))}
+        assert g == build_graph(len(index), [(index[u], index[v])
+                                             for u, v in edges])
+        assert peak < 256 * m
+        named = {id(w) for nbrs in g.adjacency for w in nbrs}
+        assert len(named) == g.n
+
     def test_later_syntax_error_wins_over_graph_fault(self):
         with pytest.raises(EdgeListSyntaxError,
                            match="^line 3: non-integer token in '0 x'$"):
@@ -380,6 +410,27 @@ class TestEdgeListParser:
         with pytest.raises(EdgeListSyntaxError,
                            match=f"^line {lineno}: non-integer token"):
             parse_edge_list(text)
+
+    # int() refuses a digit string longer than sys.get_int_max_str_digits()
+    # with a ValueError.
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="int() has no digit limit")
+    @pytest.mark.parametrize("text, kind, message", [
+        ("1 " + "9" * 5000, EdgeListSyntaxError, "line 1: vertex id longer "
+         "than {limit} digits"),
+        ("n 3\n0 " + "9" * 5000, EdgeListSyntaxError, "line 2: vertex id "
+         "longer than {limit} digits"),
+        ("n " + "9" * 5000, OrderTooLargeError,
+         "line 1: order " + "9" * 5000 + " exceeds 10000000"),
+    ], ids=["id", "id-after-header", "order"])
+    def test_id_or_order_beyond_int_digit_limit(self, text, kind, message):
+        limit = sys.get_int_max_str_digits()
+        if not 0 < limit < 5000:
+            pytest.skip("int() reads 5,000 digits here")
+        with pytest.raises(kind) as info:
+            parse_edge_list(text)
+        assert type(info.value) is kind
+        assert str(info.value) == message.format(limit=limit)
 
 
 class TestGraph6:
@@ -537,8 +588,9 @@ def test_graph6_decoder_agrees_with_networkx(text):
 
 @st.composite
 def header_edge_lists(draw):
-    """(n, pairs) of a header edge list: distinct edges in either
-    orientation, and at times one loop, repeat or out-of-range id."""
+    """(n, pairs, headed) of an edge list: distinct edges in either
+    orientation, and at times one loop, repeat or out-of-range id. A
+    header-less list writes each id w as 3w + 1."""
     n = draw(st.integers(2, 25))
     # v skips u, so no pair is a loop.
     pairs = draw(st.lists(
@@ -550,16 +602,24 @@ def header_edge_lists(draw):
         faults = [(w, w), (w, n)] + [pair[::-1] for pair in pairs[:1]]
         pairs.insert(draw(st.integers(0, len(pairs))),
                      draw(st.sampled_from(faults)))
-    return n, pairs
+    return n, pairs, draw(st.booleans())
 
 
 @given(header_edge_lists(), st.sampled_from(["\n", "\r\n", "\r", "\x0b"]))
 @settings(max_examples=300, deadline=None)
 def test_edge_list_parse_matches_build_graph(case, newline):
     """parse_edge_list on a header edge list returns build_graph of the
-    same pairs, or raises the same error of the first faulty edge."""
-    n, pairs = case
-    text = newline.join([f"n {n}"] + [f"{u} {v}" for u, v in pairs])
+    same pairs, or raises the same error of the first faulty edge; on a
+    header-less list, of the pairs with compacted ids."""
+    n, pairs, headed = case
+    if headed:
+        text = newline.join([f"n {n}"] + [f"{u} {v}" for u, v in pairs])
+    else:
+        text = newline.join(f"{3 * u + 1} {3 * v + 1}" for u, v in pairs)
+        index = {w: i for i, w in enumerate(sorted({w for e in pairs
+                                                     for w in e}))}
+        n = len(index)
+        pairs = [(index[u], index[v]) for u, v in pairs]
     fault = reference_scan_error(n, pairs)
     if fault is None:
         assert parse_edge_list(text) == build_graph(n, pairs)
