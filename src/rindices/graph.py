@@ -5,8 +5,8 @@ neighbour tuples; its edge tuple is derived from them on each call.
 Graphs are immutable after construction and simple (no loops, no
 duplicate edges): edge input is validated, and the graph6 decoder and the
 family generator build neighbour lists that cannot break this. Edge-list
-text, with or without a header, goes into one adjacency build, and every
-neighbour entry naming a vertex is that vertex's one shared int.
+text is read chunk by chunk into the adjacency build, and every neighbour
+entry naming a vertex is that vertex's one shared int.
 Connectivity is *not* required at construction time; index computations
 check it themselves.
 """
@@ -297,25 +297,21 @@ def parse_edge_list(text):
     0-based range in ascending order.
 
     The text is split into lines one chunk of about 64 Ki characters at
-    a time, and every list takes one build with one shared int per
-    vertex. Headed pairs stream straight into it; header-less ones are
-    held once and mapped through the compaction index. On a graph fault
-    the pairs are read again, header-less ones through the same index: a
+    a time. With a header, each edge goes straight into the adjacency
+    build, with no list of lines or edges, and each vertex has one
+    shared int. On a graph fault the text is read again in full: a
     syntax error anywhere wins, then the first faulty edge in input order.
     """
     items = _edge_list_items(text)
     n = next(items)
-    replay = lambda: list(_edge_list_items(text))[1:]
     if n is None:
-        held = list(items)
-        index = {w: i for i, w in
-                 enumerate(sorted({w for pair in held for w in pair}))}
-        n = len(index)
-        replay = lambda: ((index[u], index[v]) for u, v in held)
-        items = replay()
+        edges = list(items)
+        ids = sorted({w for e in edges for w in e})
+        mapping = {w: i for i, w in enumerate(ids)}
+        return Graph(len(ids), [(mapping[u], mapping[v]) for u, v in edges])
     adjacency = _sorted_adjacency(n, items)
     if adjacency is None:
-        _raise_first_fault(n, replay())
+        _raise_first_fault(n, list(_edge_list_items(text))[1:])
     return Graph._from_sorted_adjacency(n, adjacency)
 
 
@@ -358,8 +354,7 @@ def _edge_list_items(text):
                              if all(map(_SIGNED.fullmatch, tokens))
                              else "non-integer token")
                     raise EdgeListSyntaxError(
-                        f"line {lineno}: {fault} in {stripped!r}"
-                    )
+                        f"line {lineno}: {fault} in {stripped!r}")
                 if u[0] == "0" != u or v[0] == "0" != v:
                     raise EdgeListSyntaxError(
                         f"line {lineno}: zero-padded vertex id "
@@ -367,9 +362,13 @@ def _edge_list_items(text):
                 yield int(u), int(v)
             start = end
     except ValueError:
+        # Only int() on an id past its digit limit is expected to raise.
         limit = sys.get_int_max_str_digits()
+        if max(map(len, tokens)) <= limit:
+            raise
         raise EdgeListSyntaxError(
-            f"line {lineno}: vertex id longer than {limit} digits") from None
+            f"line {lineno}: vertex id longer than {limit} digits "
+            f"in {stripped!r}") from None
     if header:
         yield None
 
