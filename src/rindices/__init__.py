@@ -1,6 +1,10 @@
 """R degrees, R indices and classical degree-based topological indices
 of simple connected graphs, with exact-integer arithmetic throughout the
-R-index pipeline and a closed-form verifier for the four named families."""
+R-index pipeline and a closed-form verifier for the four named families.
+
+The verifier, the families submodule, is imported on first use of it or
+of a name it exports here, so that a program that only computes indices
+does not load it or the fractions module."""
 
 from .degrees import RDegreeTable, mult_degree, r_degree, r_degree_table, sum_degree
 from .errors import (
@@ -17,17 +21,6 @@ from .errors import (
     TrailingDataError,
     TruncatedDataError,
     VertexOutOfRangeError,
-)
-from .families import (
-    ClosedFormVariant,
-    DiscrepancyReport,
-    DiscrepancyRow,
-    RIndex,
-    Source,
-    closed_form,
-    report_summary,
-    report_to_csv,
-    verify_family,
 )
 from .graph import (
     Family,
@@ -55,3 +48,22 @@ from .indices import (
 )
 
 __version__ = "0.1.0"
+
+_FAMILIES_NAMES = (
+    "ClosedFormVariant", "DiscrepancyReport", "DiscrepancyRow", "RIndex",
+    "Source", "closed_form", "report_summary", "report_to_csv",
+    "verify_family",
+)
+# A star import still brings the families names, and so loads families.
+__all__ = [name for name in globals() if not name.startswith("_")]
+__all__ += ["families", *_FAMILIES_NAMES]
+
+
+def __getattr__(name):
+    # PEP 562. import_module, not `from . import families`: that looks the
+    # name up on this package first and would land back here.
+    if name == "families" or name in _FAMILIES_NAMES:
+        from importlib import import_module
+        families = import_module(".families", __name__)
+        return families if name == "families" else getattr(families, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -24,7 +24,6 @@ import sys
 from collections import deque
 from itertools import islice
 
-from . import families as fam
 from .degrees import r_degree_table
 from .errors import DisconnectedGraphError, GraphError
 from .graph import (
@@ -159,6 +158,8 @@ def cmd_generate(args):
 
 
 def cmd_verify(args):
+    # Only this command uses families, and with it fractions.
+    from . import families as fam
     selected = list(Family) if args.family == "all" else [args.family]
     all_rows = []
     for family in selected:

@@ -6,16 +6,18 @@ so nothing here may ever be narrowed to a machine word.
 """
 
 import math
-from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
 class RDegreeTable:
-    """Per-vertex sum degree, multiplication degree and R degree."""
+    """Per-vertex sum degree, multiplication degree and R degree, three
+    tuples in vertex order; its length is the number of vertices."""
 
-    sum_degrees: tuple
-    mult_degrees: tuple
-    r_degrees: tuple
+    __slots__ = ("sum_degrees", "mult_degrees", "r_degrees")
+
+    def __init__(self, sum_degrees, mult_degrees, r_degrees):
+        self.sum_degrees = sum_degrees
+        self.mult_degrees = mult_degrees
+        self.r_degrees = r_degrees
 
     def __len__(self):
         return len(self.r_degrees)

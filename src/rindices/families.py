@@ -19,8 +19,7 @@ vertex classification:
 """
 
 import io
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from enum import Enum
 from fractions import Fraction
 
@@ -44,14 +43,12 @@ class RIndex(Enum):
     R3 = "r3"
 
 
-@dataclass(frozen=True)
-class ClosedFormVariant:
-    """One recorded closed-form claim for (family, index)."""
+class ClosedFormVariant(namedtuple(
+        "ClosedFormVariant", "family index source expression")):
+    """One recorded closed-form claim for (family, index): a Family, an
+    RIndex, a Source and a callable n -> Fraction."""
 
-    family: Family
-    index: RIndex
-    source: Source
-    expression: object  # callable n -> Fraction
+    __slots__ = ()
 
     def evaluate(self, n):
         if n < MIN_CLAIM_ORDER:
@@ -62,23 +59,21 @@ class ClosedFormVariant:
         return Fraction(self.expression(n))
 
 
-@dataclass(frozen=True)
-class DiscrepancyRow:
-    family: Family
-    index: RIndex
-    n: int
-    source: Source
-    claimed: Fraction
-    computed: int
+class DiscrepancyRow(namedtuple(
+        "DiscrepancyRow", "family index n source claimed computed")):
+    """One claim at one order: the claimed Fraction and the computed int."""
+
+    __slots__ = ()
 
     @property
     def match(self):
         return self.claimed == self.computed
 
 
-@dataclass(frozen=True)
-class DiscrepancyReport:
-    rows: tuple
+class DiscrepancyReport(namedtuple("DiscrepancyReport", "rows")):
+    """A tuple of DiscrepancyRows."""
+
+    __slots__ = ()
 
     def mismatches(self):
         return [row for row in self.rows if not row.match]

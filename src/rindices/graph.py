@@ -11,7 +11,6 @@ Connectivity is *not* required at construction time; index computations
 check it themselves.
 """
 
-import random
 import re
 import sys
 from enum import Enum
@@ -258,6 +257,7 @@ def generate_random_connected(n, edge_probability, seed):
     a fixed seed."""
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
+    import random  # not loaded at import: no command draws graphs
     rng = random.Random(seed)
     edges = set()
     order = list(range(n))

@@ -5,10 +5,11 @@ floats. Every index requires a connected graph with at least two
 vertices; the definitions do not extend to disconnected input and
 summing over components would be an invention, so that is a hard error.
 
-full_report holds the only copy of each formula; the per-index functions
-select one field of its result. The exact integers are grouped by
-vertex, so each costs n big-integer products, plus m big additions for
-R2, instead of one big product per edge:
+full_report holds the only copy of each formula and returns an
+IndexReport, a named tuple; the per-index functions select one field of
+it. The exact integers are grouped by vertex, so each costs n
+big-integer products, plus m big additions for R2, instead of one big
+product per edge:
 
   R1 = sum_v r(v)^2            R3 = sum_v deg(v) r(v)
   R2 = sum_u r(u) * sum_{w in N(u), w > u} r(w)
@@ -25,30 +26,20 @@ however its edges were listed on input.
 import functools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .degrees import r_degree_table
 from .errors import DisconnectedGraphError, OrderTooSmallError
 from .graph import first_unreachable_vertex
 
 
-@dataclass(frozen=True)
-class IndexReport:
-    """All indices of one graph. r1/r2/r3 and zagreb1/zagreb2 are exact
-    ints, the rest floats."""
+class IndexReport(namedtuple(
+        "IndexReport",
+        "n m r1 r2 r3 abc ga h chi zagreb1 zagreb2 randic")):
+    """All indices of one graph, as a named tuple. r1/r2/r3 and
+    zagreb1/zagreb2 are exact ints, the rest floats."""
 
-    n: int
-    m: int
-    r1: int
-    r2: int
-    r3: int
-    abc: float
-    ga: float
-    h: float
-    chi: float
-    zagreb1: int
-    zagreb2: int
-    randic: float
+    __slots__ = ()
 
 
 def _require_valid(g):

@@ -525,3 +525,42 @@ def test_unwritable_out_exit_2(tmp_path):
         result = run_cli(*args, "--out", out)
         assert result.returncode == 2, args
         assert result.stderr.startswith("error:"), args
+
+
+class TestColdStart:
+    # Modules that compute and batch never run. dataclasses brings inspect;
+    # families brings fractions and decimal.
+    UNUSED = ["concurrent.futures", "dataclasses", "decimal", "fractions",
+              "inspect", "random", "rindices.families"]
+
+    def test_commands_load_only_what_they_run(self, tmp_path):
+        edges = tmp_path / "tiny.el"
+        edges.write_text("0 1\n1 2\n")
+        corpus = tmp_path / "tiny.g6"
+        corpus.write_text("Bw\nA_\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        # -S: without site, which loads random and more on some hosts.
+        # Whatever argparse and csv load on this Python is not held against
+        # the package.
+        code = ("import sys\n"
+                "import argparse, csv\n"
+                "exempt = set(sys.modules)\n"
+                "sys.path.insert(0, sys.argv[1])\n"
+                "from rindices import cli\n"
+                "cli.build_parser()\n"
+                "codes = [cli.main(['compute', sys.argv[2]]),\n"
+                "         cli.main(['batch', sys.argv[3]])]\n"
+                f"loaded = sorted(set({self.UNUSED!r}) & set(sys.modules)"
+                " - exempt)\n"
+                "codes.append(cli.main(['verify', 'all', '--n-range', "
+                "'3..5']))\n"
+                "print('cold', loaded, codes,"
+                " 'rindices.families' in sys.modules)\n")
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", code, src, str(edges), str(corpus)],
+            capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert "r1=41\n" in result.stdout
+        assert "\nline1,3,3,192,192,48," in result.stdout
+        assert "cycle,r1,5,statement,320,320,Match\n" in result.stdout
+        assert result.stdout.splitlines()[-1] == "cold [] [0, 0, 0] True"

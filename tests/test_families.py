@@ -1,5 +1,8 @@
 """Closed-form evaluation and the discrepancy verifier."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -164,3 +167,39 @@ class TestSerialization:
         report = verify_family(family, range(3, 6))
         assert report_summary(report) == (
             "family     source       match  mismatch\n" + body)
+
+
+# The package imports families on first use of one of these names.
+LAZY_NAMES = ["ClosedFormVariant", "DiscrepancyReport", "DiscrepancyRow",
+              "RIndex", "Source", "closed_form", "report_summary",
+              "report_to_csv", "verify_family", "families"]
+
+
+def test_lazy_reexports_resolve_to_the_families_objects():
+    # In a fresh interpreter, where families is not loaded yet.
+    code = """if True:
+        import sys
+        sys.path.insert(0, sys.argv[1])
+        import rindices
+        assert "rindices.families" not in sys.modules
+        for name in sys.argv[2:]:
+            ns = {}
+            exec(f"from rindices import {name}", ns)
+            fam = sys.modules["rindices.families"]
+            want = fam if name == "families" else getattr(fam, name)
+            assert ns[name] is want and getattr(rindices, name) is want, name
+        ns = {}
+        exec("from rindices import *", ns)
+        assert all(ns[name] is getattr(rindices, name)
+                   for name in sys.argv[2:])
+        try:
+            rindices.no_such_name
+        except AttributeError:
+            pass
+        else:
+            raise SystemExit("rindices.no_such_name resolved")
+    """
+    src = os.path.dirname(os.path.dirname(families.__file__))
+    result = subprocess.run([sys.executable, "-c", code, src, *LAZY_NAMES],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr

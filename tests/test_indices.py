@@ -11,6 +11,7 @@ import oracle
 from rindices import (
     DisconnectedGraphError,
     Family,
+    IndexReport,
     OrderTooSmallError,
     Source,
     abc_index,
@@ -178,6 +179,42 @@ class TestFullReport:
         z1, z2, randic = classical_extras(g)
         assert (report.zagreb1, report.zagreb2, report.randic) == \
             pytest.approx((z1, z2, randic), rel=1e-12)
+
+
+class TestIndexReport:
+    FIELDS = ["n", "m", "r1", "r2", "r3", "abc", "ga", "h", "chi",
+              "zagreb1", "zagreb2", "randic"]
+
+    def test_fields_by_position_and_keyword(self):
+        values = list(range(100, 112))
+        report = IndexReport(*values)
+        assert [getattr(report, name) for name in self.FIELDS] == values
+        assert IndexReport(**dict(zip(self.FIELDS, values))) == report
+        for wrong in (values[:-1], values + [0]):
+            with pytest.raises(TypeError):
+                IndexReport(*wrong)
+
+    def test_equal_and_hash_by_value(self):
+        a = full_report(generate_family(Family.CYCLE, 6))
+        b = full_report(build_graph(6, [(5, 0)] + [(i, i + 1)
+                                                   for i in range(5)]))
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert a != full_report(generate_family(Family.PATH, 6))
+
+    def test_read_only(self):
+        report = full_report(generate_family(Family.CYCLE, 4))
+        for name in ("r1", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(report, name, 0)
+        assert report.r1 == 256
+
+    def test_repr(self):
+        assert repr(full_report(generate_family(Family.PATH, 4))) == (
+            "IndexReport(n=4, m=3, r1=82, r2=65, r3=28, "
+            "abc=2.121320343559643, ga=2.885618083164127, "
+            "h=1.833333333333333, chi=1.6547005383792515, "
+            "zagreb1=10, zagreb2=8, randic=1.914213562373095)")
 
 
 class TestProperties:
