@@ -6,13 +6,13 @@ failures, files that cannot be opened and a batch worker process that
 dies exit with code 2, disconnected inputs with code 3, each with an
 'error:' line on stderr; a stdout whose reader has gone away ends the
 run quietly with code 141. argparse checks option values before any
-input is read. Input bytes that are not UTF-8 are replaced, so they fail
-to parse. Batch mode streams the corpus in chunks of BATCH_CHUNK lines
-and writes one CSV row per input line, with failures isolated per line.
-The chunks are indexed in this process with
---jobs 1, else in a pool of up to --jobs worker processes, capped at the
-CPU count; they are written in input order, so the CSV is the same bytes
-for every --jobs value.
+input is read. Input is read as UTF-8 after an optional byte-order mark;
+bytes that are not UTF-8 are replaced, so they fail to parse. Batch mode
+streams the corpus in chunks of BATCH_CHUNK lines and writes one CSV row
+per input line, with failures isolated per line. The chunks are indexed
+in this process with --jobs 1, else in a pool of up to --jobs worker
+processes, capped at the CPU count; they are written in input order, so
+the CSV is the same bytes for every --jobs value.
 """
 
 import argparse
@@ -84,11 +84,21 @@ def _open_out(path):
 
 
 def _load_graph(path, format_flag):
-    with open(path, encoding="utf-8", errors="replace") as f:
+    """The one graph in the file at path. A graph6 file must hold exactly
+    one graph line; a second is an error, as batch is the command that
+    reads a corpus."""
+    with open(path, encoding="utf-8-sig", errors="replace") as f:
         if _infer_format(path, format_flag) != "graph6":
             return parse_edge_list(f.read())
-        for _, line in _graph6_lines(f):
-            return parse_graph6(line)
+        lines = _graph6_lines(f)
+        for _, line in lines:
+            g = parse_graph6(line)
+            second = next(lines, None)
+            if second is not None:
+                raise GraphError(f"line {second[0]}: a second graph in "
+                                 f"{path}; compute and rdegrees read one "
+                                 f"graph, batch reads a corpus")
+            return g
     raise GraphError(f"no graph6 line found in {path}")
 
 
@@ -224,7 +234,7 @@ def _map_ordered(fn, items, workers):
 
 def cmd_batch(args):
     workers = min(args.jobs, os.cpu_count() or 1)
-    with open(args.path, encoding="utf-8", errors="replace") as f:
+    with open(args.path, encoding="utf-8-sig", errors="replace") as f:
         # Opening --out truncates it before a line of the input is read.
         if args.out and os.path.exists(args.out) \
                 and os.path.samefile(args.path, args.out):

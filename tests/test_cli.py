@@ -18,6 +18,7 @@ from rindices import (
     write_edge_list,
     write_graph6,
 )
+from rindices.graph import _CHUNK
 
 CLI = [sys.executable, "-m", "rindices.cli"]
 
@@ -126,6 +127,48 @@ class TestCompute:
                 result = run_cli(command, str(path))
                 assert result.returncode == 2
                 assert result.stderr.startswith("error:")
+
+    def test_bom_and_line_ends_give_same_output(self, tmp_path):
+        # Several pieces long, so that most of it takes the bulk path. A
+        # byte-order mark starts the file only; the graph6 copy is read
+        # by the other parser.
+        g = generate_random_connected(400, 0.1, seed=5)
+        text = write_edge_list(g)
+        assert len(text) > 3 * _CHUNK
+        bom = "\ufeff"
+        files = {"lf.edges": text, "crlf.edges": text.replace("\n", "\r\n"),
+                 "bom.edges": bom + text,
+                 "bom-crlf.edges": bom + text.replace("\n", "\r\n"),
+                 "bom.g6": bom + write_graph6(g) + "\n"}
+        results = set()
+        for name, content in files.items():
+            path = tmp_path / name
+            path.write_bytes(content.encode("utf-8"))
+            result = run_cli("compute", str(path))
+            results.add((result.returncode, result.stdout, result.stderr))
+        assert len(results) == 1
+        code, stdout, stderr = results.pop()
+        assert (code, stderr) == (0, "")
+        assert stdout.startswith(f"n=400 m={g.m}\n")
+
+    def test_bom_after_the_start_is_an_error(self, tmp_path):
+        path = tmp_path / "late-bom.edges"
+        path.write_bytes("0 1\n\ufeff1 2\n".encode("utf-8"))
+        result = run_cli("compute", str(path))
+        assert result.returncode == 2
+        assert result.stderr == \
+            "error: line 2: non-integer token in '\\ufeff1 2'\n"
+
+    def test_second_graph6_line_exit_2(self, tmp_path):
+        # Only the first graph was indexed, and the run exited 0.
+        path = tmp_path / "two.g6"
+        path.write_text("Bw\n\nCx\n")
+        for command in ("compute", "rdegrees"):
+            result = run_cli(command, str(path))
+            assert (result.returncode, result.stdout) == (2, "")
+            assert result.stderr == (
+                f"error: line 3: a second graph in {path}; compute and "
+                f"rdegrees read one graph, batch reads a corpus\n")
 
     def test_graph6_inferred_from_extension(self, tmp_path):
         path = tmp_path / "c6.g6"
@@ -324,6 +367,19 @@ class TestBatch:
         assert [(r[0], r[-1]) for r in rows] == [
             ("line1", "Ok"), ("line2", "Ok"), ("line3", "Ok"),
             ("line6", "Ok")]
+
+    def test_leading_bom_skipped(self, tmp_path):
+        # A byte-order mark starts the file only: one on a later line is
+        # a byte of that line.
+        src = tmp_path / "bom.g6"
+        src.write_bytes("\ufeffBw\n\ufeffBw\n".encode("utf-8"))
+        result = run_cli("batch", str(src))
+        assert result.returncode == 0
+        rows = [line.split(",") for line in result.stdout.splitlines()[1:]]
+        assert [(r[0], r[-1]) for r in rows] == [
+            ("line1", "Ok"),
+            ("line2", "ParseError(character '\\ufeff' outside graph6 "
+                      "range '?'..'~')")]
 
     def test_undecodable_line_isolated(self, tmp_path):
         src = tmp_path / "bytes.g6"

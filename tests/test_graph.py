@@ -3,6 +3,7 @@
 import random
 import sys
 import tracemalloc
+from unittest import mock
 
 import networkx as nx
 import pytest
@@ -32,6 +33,7 @@ from rindices import (
     write_edge_list,
     write_graph6,
 )
+from rindices import graph
 from rindices.graph import _CHUNK, FAMILY_MIN_ORDER, _graph6_order
 
 
@@ -99,6 +101,32 @@ def reference_scan_error(n, edges):
             return DuplicateEdgeError, f"edge {key} appears more than once"
         seen.add(key)
     return None
+
+
+# Piece sizes the edge-list tests parse at: the shipped one, and sizes so
+# small that a multi-line input spans several pieces, most lines start a
+# piece, and every canonical piece after the first line takes the bulk
+# path.
+CHUNKS = (_CHUNK, 1, 5)
+
+
+def outcome(parse, text):
+    """parse(text), or the type and message of the GraphError it raises."""
+    try:
+        return parse(text)
+    except GraphError as exc:
+        return type(exc), str(exc)
+
+
+def parse_chunked(text):
+    """parse_edge_list(text), after checking that every piece size in
+    CHUNKS returns the same graph or raises the same error and message."""
+    outcomes = []
+    for size in CHUNKS:
+        with mock.patch.object(graph, "_CHUNK", size):
+            outcomes.append(outcome(parse_edge_list, text))
+    assert outcomes == outcomes[:1] * len(CHUNKS)
+    return parse_edge_list(text)
 
 
 class TestGraphCore:
@@ -264,7 +292,7 @@ class TestEdgeListParser:
     ])
     def test_edge_list_syntax_messages(self, text, message):
         with pytest.raises(EdgeListSyntaxError, match=f"^{message}$"):
-            parse_edge_list(text)
+            parse_chunked(text)
 
     def test_header_allows_isolated_vertices(self):
         g = parse_edge_list("n 4\n0 1\n")
@@ -317,10 +345,10 @@ class TestEdgeListParser:
     ])
     def test_zero_padded_integer_rejected(self, text, message):
         if message is None:
-            assert parse_edge_list(text).n == (2 if text == "0 1\n" else 0)
+            assert parse_chunked(text).n == (2 if text == "0 1\n" else 0)
             return
         with pytest.raises(EdgeListSyntaxError, match=f"^{message}$"):
-            parse_edge_list(text)
+            parse_chunked(text)
 
     def test_ingest_memory_per_edge(self):
         # Held lines, a list of edges or an int per neighbour entry would
@@ -351,7 +379,7 @@ class TestEdgeListParser:
     def test_later_syntax_error_wins_over_graph_fault(self):
         with pytest.raises(EdgeListSyntaxError,
                            match="^line 3: non-integer token in '0 x'$"):
-            parse_edge_list("n 3\n0 5\n0 x\n")
+            parse_chunked("n 3\n0 5\n0 x\n")
 
     @pytest.mark.parametrize("edges", [
         [(0, 1), (1, 2), (2, 1), (0, 5)],   # duplicate, then out of range
@@ -393,13 +421,17 @@ class TestEdgeListParser:
          "longer than {limit} digits in '0 " + "9" * 5000 + "'"),
         ("n " + "9" * 5000, OrderTooLargeError,
          "line 1: order " + "9" * 5000 + " exceeds 10000000"),
-    ], ids=["id", "id-after-header", "order"])
+        # A canonical piece: the bulk path's int() fails, not the loop's.
+        ("n 3\n0 1\n0 " + "9" * 5000 + "\n1 2\n", EdgeListSyntaxError,
+         "line 3: vertex id longer than {limit} digits in '0 "
+         + "9" * 5000 + "'"),
+    ], ids=["id", "id-after-header", "order", "id-in-canonical-line"])
     def test_id_or_order_beyond_int_digit_limit(self, text, kind, message):
         limit = sys.get_int_max_str_digits()
         if not 0 < limit < 5000:
             pytest.skip("int() reads 5,000 digits here")
         with pytest.raises(kind) as info:
-            parse_edge_list(text)
+            parse_chunked(text)
         assert type(info.value) is kind
         assert str(info.value) == message.format(limit=limit)
 
@@ -576,13 +608,15 @@ def header_edge_lists(draw):
     return n, pairs, draw(st.booleans())
 
 
-@given(header_edge_lists(), st.sampled_from(["\n", "\r\n", "\r", "\x0b"]))
+@given(header_edge_lists(), st.sampled_from(["\n", "\r\n", "\r", "\x0b"]),
+       st.sampled_from(CHUNKS))
 # About half the lists are header-less; each form gets about 300.
 @settings(max_examples=600, deadline=None)
-def test_edge_list_parse_matches_build_graph(case, newline):
+def test_edge_list_parse_matches_build_graph(case, newline, size):
     """parse_edge_list on a header edge list returns build_graph of the
     same pairs, or raises the same error of the first faulty edge; on a
-    header-less list, of the pairs with compacted ids."""
+    header-less list, of the pairs with compacted ids; at every piece
+    size in CHUNKS."""
     n, pairs, headed = case
     if headed:
         text = newline.join([f"n {n}"] + [f"{u} {v}" for u, v in pairs])
@@ -593,10 +627,80 @@ def test_edge_list_parse_matches_build_graph(case, newline):
         n = len(index)
         pairs = [(index[u], index[v]) for u, v in pairs]
     fault = reference_scan_error(n, pairs)
-    if fault is None:
-        assert parse_edge_list(text) == build_graph(n, pairs)
-        return
-    kind, message = fault
-    with pytest.raises(kind) as info:
-        parse_edge_list(text)
-    assert str(info.value) == message
+    with mock.patch.object(graph, "_CHUNK", size):
+        got = outcome(parse_edge_list, text)
+    assert got == (fault or build_graph(n, pairs))
+
+
+# Faults a piece must not pass the bulk check with, each as a template of
+# one line of a canonical list; the next line starts after a '\n'.
+LINE_FAULTS = {
+    "one-token": "{u}",
+    "three-tokens": "{u} {v} {v}",
+    "leading-space-one-token": " {u}",
+    "trailing-space-one-token": "{u} ",
+    "leading-space": " {u} {v}",
+    "trailing-space": "{u} {v} ",
+    "double-space": "{u}  {v}",
+    "tab": "{u}\t{v}",
+    "crlf": "{u} {v}\r",
+    "cr": "{u} {v}\r{v} {u}",
+    "form-feed": "{u} {v}\x0c{v} {u}",
+    "zero-padded-first": "0{u} {v}",
+    "zero-padded-second": "{u} 0{v}",
+    "plus": "+{u} {v}",
+    "minus": "{u} -{v}",
+    "underscore": "{u}_0 {v}",
+    "fullwidth-digit": "\uff11 {v}",
+    "past-digit-limit": "{u} " + "9" * 5000,
+}
+
+
+@st.composite
+def faulty_edge_lists(draw, fault):
+    """Canonical "u v" lines, at times after a header, with one line
+    replaced by LINE_FAULTS[fault] or, for "unterminated-id", one more id
+    after the final '\n'; canonical throughout for fault None."""
+    ids = st.one_of(st.integers(0, 2), st.integers(0, 10 ** 6))
+    lines = [f"{u} {v}" for u, v in draw(st.lists(st.tuples(ids, ids),
+                                                  min_size=1, max_size=12))]
+    if fault in LINE_FAULTS:
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = LINE_FAULTS[fault].format(u=draw(ids), v=draw(ids))
+    if draw(st.booleans()):
+        lines.insert(0, f"n {draw(ids)}")
+    text = "\n".join(lines) + "\n"
+    if fault == "unterminated-id":
+        text += str(draw(ids))
+    return text
+
+
+@pytest.mark.parametrize("fault", [None, "unterminated-id", *LINE_FAULTS])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_bulk_pieces_match_line_loop(fault, data):
+    """At every piece size in CHUNKS, _edge_list_items yields the items,
+    or raises the error and message, that the line loop alone gives, and
+    a canonical list of two or more lines takes the bulk path."""
+    text = data.draw(faulty_edge_lists(fault))
+    canonical_ids = graph._canonical_ids
+    taken = []
+
+    def counted(piece):
+        ids = canonical_ids(piece)
+        taken.append(ids is not None)
+        return ids
+
+    def items(text):
+        return list(graph._edge_list_items(text))
+
+    for size in CHUNKS:
+        with mock.patch.object(graph, "_CHUNK", size):
+            with mock.patch.object(graph, "_canonical_ids", counted):
+                got = outcome(items, text)
+            with mock.patch.object(graph, "_canonical_ids",
+                                   lambda piece: None):
+                want = outcome(items, text)
+        assert got == want
+    if fault is None and text.count("\n") > 1:
+        assert any(taken)
