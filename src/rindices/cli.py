@@ -89,7 +89,7 @@ def _load_graph(path, format_flag):
     reads a corpus."""
     with open(path, encoding="utf-8-sig", errors="replace") as f:
         if _infer_format(path, format_flag) != "graph6":
-            return parse_edge_list(f.read())
+            return parse_edge_list(f)
         lines = _graph6_lines(f)
         for _, line in lines:
             g = parse_graph6(line)
@@ -152,9 +152,10 @@ def cmd_rdegrees(args):
         raise DisconnectedGraphError(bad)
     table = r_degree_table(g)
     print("vertex deg sum_deg mult_deg r")
-    for v, d in enumerate(g.degrees):
-        print(f"{v} {d} {table.sum_degrees[v]} "
-              f"{table.mult_degrees[v]} {table.r_degrees[v]}")
+    rows = zip(g.degrees, table.sum_degrees, table.mult_degrees,
+               table.r_degrees)
+    for v, (d, s, p, r) in enumerate(rows):
+        print(f"{v} {d} {s} {p} {r}")
     return 0
 
 

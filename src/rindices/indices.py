@@ -7,20 +7,21 @@ summing over components would be an invention, so that is a hard error.
 
 full_report holds the only copy of each formula and returns an
 IndexReport, a named tuple; the per-index functions select one field of
-it. The exact integers are grouped by vertex, so each costs n
-big-integer products, plus m big additions for R2, instead of one big
-product per edge:
+it. Of the degree table it reads only the R degrees r(v). The exact R
+indices are grouped by vertex, so each costs n big-integer products,
+plus m big additions for R2, instead of one big product per edge:
 
   R1 = sum_v r(v)^2            R3 = sum_v deg(v) r(v)
   R2 = sum_u r(u) * sum_{w in N(u), w > u} r(w)
-  Zagreb1 = sum_v deg(v)^2     Zagreb2 = 1/2 sum_v deg(v) S(v)
+  Zagreb1 = sum_v deg(v)^2
+  Zagreb2 = sum_u deg(u) * sum_{w in N(u), w > u} deg(w)
 
-where S(v) is the sum degree. The five real-valued edge terms depend
+so Zagreb2 needs no sum degrees. The five real-valued edge terms depend
 only on the degree pair of the edge, so each pair's terms are evaluated
-once and kept in a bounded per-process cache (the edge-partition view of
-degree-based indices). Float addition is not associative, so the terms are still
-summed edge by edge in sorted order: a graph then gives the same bits
-however its edges were listed on input.
+once and kept in a bounded per-process cache (the edge-partition view
+of degree-based indices). Float addition is not associative, so the terms
+are still summed edge by edge in sorted order: a graph then gives the
+same bits however its edges were listed on input.
 """
 
 import functools
@@ -107,9 +108,9 @@ def full_report(g):
     """All indices of one graph, with R degrees computed once and shared."""
     _require_valid(g)
     deg = g.degrees
-    table = r_degree_table(g)
-    r = table.r_degrees
+    r = r_degree_table(g).r_degrees
     r2 = 0
+    zagreb2 = 0
     abc = 0.0
     ga = 0.0
     h = 0.0
@@ -119,16 +120,19 @@ def full_report(g):
     # which keeps the float sums bit-identical to a walk over g.edges().
     for u, nbrs in enumerate(g.adjacency):
         du = deg[u]
-        r_upper = 0
+        r_upper = d_upper = 0
         for v in nbrs[bisect_right(nbrs, u):]:
             r_upper += r[v]
-            t_abc, t_ga, t_h, t_chi, t_randic = _edge_terms(du, deg[v])
+            dv = deg[v]
+            d_upper += dv
+            t_abc, t_ga, t_h, t_chi, t_randic = _edge_terms(du, dv)
             abc += t_abc
             ga += t_ga
             h += t_h
             chi += t_chi
             randic += t_randic
         r2 += r[u] * r_upper
+        zagreb2 += du * d_upper
     return IndexReport(
         n=g.n, m=g.m,
         r1=sum(x * x for x in r),
@@ -136,6 +140,6 @@ def full_report(g):
         r3=sum(d * x for d, x in zip(deg, r)),
         abc=abc, ga=ga, h=h, chi=chi,
         zagreb1=sum(d * d for d in deg),
-        zagreb2=sum(d * s for d, s in zip(deg, table.sum_degrees)) // 2,
+        zagreb2=zagreb2,
         randic=randic,
     )

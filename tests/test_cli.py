@@ -2,8 +2,11 @@
 
 import concurrent.futures
 import os
+import random
 import subprocess
 import sys
+import threading
+import tracemalloc
 
 import pytest
 
@@ -140,16 +143,78 @@ class TestCompute:
                  "bom.edges": bom + text,
                  "bom-crlf.edges": bom + text.replace("\n", "\r\n"),
                  "bom.g6": bom + write_graph6(g) + "\n"}
-        results = set()
+        # Each edge-list copy whose last line repeats its first edge is
+        # read again after the fault, past the byte-order mark once more.
+        first_edge = text.split("\n")[1]
+        for name in [name for name in files if name.endswith(".edges")]:
+            newline = "\r\n" if "crlf" in name else "\n"
+            files["repeat-" + name] = files[name] + first_edge + newline
+        results = {}
         for name, content in files.items():
             path = tmp_path / name
             path.write_bytes(content.encode("utf-8"))
             result = run_cli("compute", str(path))
-            results.add((result.returncode, result.stdout, result.stderr))
-        assert len(results) == 1
-        code, stdout, stderr = results.pop()
+            results.setdefault(name.startswith("repeat-"), set()).add(
+                (result.returncode, result.stdout, result.stderr))
+        assert [len(outcomes) for outcomes in results.values()] == [1, 1]
+        code, stdout, stderr = results[False].pop()
         assert (code, stderr) == (0, "")
         assert stdout.startswith(f"n=400 m={g.m}\n")
+        u, v = sorted(map(int, first_edge.split()))
+        assert results[True].pop() == (
+            2, "", f"error: edge ({u}, {v}) appears more than once\n")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+    def test_fifo_input_read_whole_before_the_fault(self, tmp_path):
+        # A FIFO cannot seek back for the fault's second read, so it is
+        # read whole first; the error is the regular file's.
+        text = write_edge_list(generate_family(Family.CYCLE, 6000))
+        text += text.split("\n")[1] + "\n"
+        assert len(text) > 3 * _CHUNK
+        path = tmp_path / "repeat.edges"
+        path.write_text(text)
+        fifo = tmp_path / "fifo.edges"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(text,),
+                                  daemon=True)
+        writer.start()
+        try:
+            from_fifo = run_cli("compute", str(fifo), timeout=60)
+        finally:
+            # Unblocks the writer if the command never opened the FIFO.
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(timeout=60)
+        assert not writer.is_alive()
+        from_file = run_cli("compute", str(path))
+        assert (from_fifo.returncode, from_fifo.stdout, from_fifo.stderr) \
+            == (from_file.returncode, from_file.stdout, from_file.stderr) \
+            == (2, "", "error: edge (0, 1) appears more than once\n")
+
+    def test_peak_memory_near_the_parse_peak(self, tmp_path, capsys):
+        # The command holds neither the file's text nor a second copy of
+        # the graph or of its degree table beyond what parsing needs.
+        n, m = 10_000, 60_000
+        rng = random.Random(13)
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+        while len(edges) < m:
+            u, v = sorted(rng.sample(range(n), 2))
+            edges.add((u, v))
+        lines = [f"{u} {v}" for u, v in edges]
+        rng.shuffle(lines)
+        text = f"n {n}\n" + "\n".join(lines) + "\n"
+        path = tmp_path / "sparse.edges"
+        path.write_text(text)
+        peaks = []
+        for run in (lambda: parse_edge_list(text),
+                    lambda: cli.main(["compute", str(path)])):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert capsys.readouterr().out.startswith(f"n={n} m={m}\n")
+        assert peaks[1] < 1.15 * peaks[0], peaks
 
     def test_bom_after_the_start_is_an_error(self, tmp_path):
         path = tmp_path / "late-bom.edges"

@@ -2,6 +2,7 @@
 
 import random
 import sys
+import tempfile
 import tracemalloc
 from unittest import mock
 
@@ -120,12 +121,17 @@ def outcome(parse, text):
 
 def parse_chunked(text):
     """parse_edge_list(text), after checking that every piece size in
-    CHUNKS returns the same graph or raises the same error and message."""
+    CHUNKS returns the same graph or raises the same error and message,
+    from the str and from an open text file that reads back the text."""
     outcomes = []
-    for size in CHUNKS:
-        with mock.patch.object(graph, "_CHUNK", size):
-            outcomes.append(outcome(parse_edge_list, text))
-    assert outcomes == outcomes[:1] * len(CHUNKS)
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as f:
+        f.write(text)
+        for size in CHUNKS:
+            with mock.patch.object(graph, "_CHUNK", size):
+                outcomes.append(outcome(parse_edge_list, text))
+                f.seek(0)
+                outcomes.append(outcome(parse_edge_list, f))
+    assert outcomes == outcomes[:1] * len(outcomes)
     return parse_edge_list(text)
 
 
@@ -352,7 +358,9 @@ class TestEdgeListParser:
 
     def test_ingest_memory_per_edge(self):
         # Held lines, a list of edges or an int per neighbour entry would
-        # each cost more than this bound.
+        # each cost more than this bound. The faulting copy, whose last
+        # line repeats an edge, is read again after the fault and must
+        # stay under it too.
         n, m = 20_000, 40_000
         rng = random.Random(20)
         edges = set()
@@ -364,14 +372,19 @@ class TestEdgeListParser:
                  for u, v in sorted(edges)]
         rng.shuffle(lines)
         text = f"n {n}\n" + "\n".join(lines) + "\n"
-        tracemalloc.start()
-        try:
-            g = parse_edge_list(text)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        faulting = text + lines[0] + "\n"
+        outcomes, peaks = [], []
+        for source in (text, faulting):
+            tracemalloc.start()
+            try:
+                outcomes.append(outcome(parse_edge_list, source))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        g, fault = outcomes
         assert g == build_graph(n, sorted(edges))
-        assert peak < 128 * m
+        assert fault[0] is DuplicateEdgeError
+        assert max(peaks) < 128 * m, peaks
         # Every entry naming a vertex is that vertex's one int object.
         named = {id(w) for nbrs in g.adjacency for w in nbrs}
         assert len(named) == sum(1 for d in g.degrees if d)
