@@ -64,7 +64,9 @@ class Graph:
     free of loops and repeats, and that u lists v iff v lists u. Only
     builders whose construction cannot break that contract use it (the
     graph6 decoder, the family generator, and parse_edge_list on lists
-    that _sorted_adjacency built and checked).
+    that _sorted_adjacency built and checked). Both Graph(n, edges) and
+    parse_edge_list build through _sorted_adjacency, which alone finds
+    and raises a graph fault.
     """
 
     __slots__ = ("_n", "_m", "_adjacency", "_degrees")
@@ -78,12 +80,13 @@ class Graph:
         """
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        edges = list(edges)
-        adjacency = _sorted_adjacency(n, edges)
+        edges = pairs = list(edges)
         # A negative id indexes from the end, and an entry names the int
-        # that first named its vertex, so the build alone may miss one.
-        if adjacency is None or min(map(min, edges), default=0) < 0:
-            raise _first_fault(n, edges, _repeated_keys(n, edges))
+        # that first named its vertex, so the build alone may miss one: a
+        # last pair out of range makes the build scan for the fault.
+        if min(map(min, edges), default=0) < 0:
+            pairs = edges + [(n, n)]
+        adjacency = _sorted_adjacency(n, pairs, lambda: edges)
         self._n = n
         self._m = len(edges)
         self._adjacency = tuple(adjacency)
@@ -151,11 +154,18 @@ class Graph:
         return f"Graph(n={self._n}, m={self.m})"
 
 
-def _sorted_adjacency(n, pairs):
+def _sorted_adjacency(n, pairs, again):
     """A list of the sorted neighbour tuples of vertices 0..n-1 from (u, v)
-    id pairs, or None if a pair holds an id of n or more (or below -n), a
-    loop or a repeated edge. The caller makes the graph's one outer tuple
-    from the list.
+    id pairs. The caller makes the graph's one outer tuple from the list.
+
+    This is the one place that finds a graph fault: an id of n or more
+    (or below -n), or a neighbour listed twice in one list, as a repeated
+    edge lists it, and as a loop lists its vertex in its own list. The
+    keys u * n + v, u < v, of the repeats are taken from the lists, which
+    are then dropped, and the first fault in input order is raised from
+    one scan of again(), a new iterable of the same pairs. The rest of
+    that scan is read too, so that a syntax error later in the input
+    wins.
 
     Every entry that names w is the one int object that first named w: a
     vertex's list starts with that int, each pair appends the head of the
@@ -164,9 +174,10 @@ def _sorted_adjacency(n, pairs):
     large order costs a pointer per vertex. Each list is sorted in place and
     replaced by its tuple in turn, so the lists and the tuples never all
     exist at once. A negative id indexes from the end: callers that can
-    pass one check for it.
+    pass one must make the build fail.
     """
     adjacency = [()] * n
+    faulty = False
     try:
         for u, v in pairs:
             a = adjacency[u]
@@ -178,23 +189,29 @@ def _sorted_adjacency(n, pairs):
             a.append(b[0])
             b.append(a[0])
     except IndexError:
-        return None
-    ends = distinct = 0
+        faulty = True
+    repeated = set()
     for w, a in enumerate(adjacency):
         if a:
             del a[0]
             a.sort()
-            ends += len(a)
-            distinct += len(set(a))
+            if len(set(a)) < len(a):
+                repeated.update(w * n + x if w < x else x * n + w
+                                for x, y in zip(a, a[1:]) if x == y)
             adjacency[w] = tuple(a)
-    # A loop or a repeated edge repeats a neighbour within one list.
-    return adjacency if distinct == ends else None
+    if faulty or repeated:
+        del adjacency
+        rescan = iter(again())
+        fault = _first_fault(n, rescan, repeated)
+        deque(rescan, maxlen=0)
+        raise fault
+    return adjacency
 
 
 def _first_fault(n, edges, repeated):
-    """The error of the first faulty edge, scanning in input order, or
-    None if there is none. Of the edges, only those whose key u * n + v,
-    u < v, is in the set `repeated` are remembered."""
+    """The error of the first faulty edge, scanning in input order; the
+    caller knows that there is one. Of the edges, only those whose key
+    u * n + v, u < v, is in the set `repeated` are remembered."""
     seen = set()
     for u, v in edges:
         for w in (u, v):
@@ -210,16 +227,6 @@ def _first_fault(n, edges, repeated):
                 return DuplicateEdgeError(
                     f"edge {(u, v)} appears more than once")
             seen.add(key)
-    return None
-
-
-def _repeated_keys(n, pairs):
-    """The set of the keys u * n + v, u < v, that occur more than once
-    among pairs, found in a sorted list of the keys, which holds far less
-    than a set of them would. A loop or an id out of range may add a key
-    that names no edge; _first_fault checks for those first."""
-    keys = sorted(u * n + v if u < v else v * n + u for u, v in pairs)
-    return {k for k, after in zip(keys, islice(keys, 1, None)) if k == after}
 
 
 def build_graph(n, edges):
@@ -328,11 +335,11 @@ def parse_edge_list(source):
     those of the line loop on the text a file's read() returns. With a
     header, each edge goes straight into the adjacency build, with no
     list of lines or edges, and each vertex has one shared int. On a
-    graph fault the input is read twice more from its start (a file is
-    sought back to 0), once to find the repeated edges and once to find
-    the first fault: a syntax error anywhere wins, then the first faulty
-    edge in input order. A file that cannot seek, such as a pipe, is
-    read whole first, so that it can be read again.
+    graph fault the build reads the input once more from its start (a
+    file is sought back to 0) to find the first fault: a syntax error
+    anywhere wins, then the first faulty edge in input order. A file
+    that cannot seek, such as a pipe, is read whole first, so that it
+    can be read again.
     """
     if not isinstance(source, str) and not source.seekable():
         source = source.read()
@@ -343,14 +350,7 @@ def parse_edge_list(source):
         ids = sorted({w for e in edges for w in e})
         mapping = {w: i for i, w in enumerate(ids)}
         return Graph(len(ids), [(mapping[u], mapping[v]) for u, v in edges])
-    adjacency = _sorted_adjacency(n, items)
-    if adjacency is None:
-        repeated = _repeated_keys(n, _edge_pairs(source))
-        pairs = _edge_pairs(source)
-        fault = _first_fault(n, pairs, repeated)
-        # A syntax error later in the input wins over the graph fault.
-        deque(pairs, maxlen=0)
-        raise fault
+    adjacency = _sorted_adjacency(n, items, lambda: _edge_pairs(source))
     return Graph._from_sorted_adjacency(n, adjacency)
 
 
@@ -391,70 +391,60 @@ def _edge_list_items(source):
     header, then a (u, v) pair of ints for each edge line of a str or an
     open text file; raise EdgeListSyntaxError at the first malformed line.
 
-    Each block of _text_blocks is one piece, except that until the first
-    data line a piece is one line. Every cut is just after a '\\n', and a
-    cut there never splits a '\\r\\n', so lines are numbered exactly as
-    str.splitlines numbers them. After the first data line, a piece that
-    _canonical_ids reads as canonical "id id" lines yields its pairs from
-    one split of the piece; any other piece is split into lines and
-    checked line by line, which makes every error message. An id longer
-    than int() reads is a syntax error, caught once around the loop and
-    not on every line.
+    Each block of _text_blocks is one piece. Every cut is just after a
+    '\\n', and a cut there never splits a '\\r\\n', so lines are numbered
+    exactly as str.splitlines numbers them. A piece that starts after
+    the first data line and that _canonical_ids reads as canonical
+    "id id" lines yields its pairs from one split of the piece; any
+    other piece, the first data line's among them, is split into lines
+    and checked line by line, which makes every error message. An id
+    longer than int() reads is a syntax error; any other ValueError,
+    such as a file's UnicodeDecodeError, passes through.
     """
     header = True
     lineno = 0
-    try:
-        for block in _text_blocks(source):
-            start = 0
-            while start < len(block):
-                end = len(block)
-                if header:
-                    end = block.find("\n", start) + 1 or end
-                piece = block[start:end]
-                start = end
-                ids = None if header else _canonical_ids(piece)
-                if ids is not None:
-                    it = iter(ids)
-                    yield from zip(it, it)
-                    lineno += len(ids) // 2
+    for piece in _text_blocks(source):
+        ids = None if header else _canonical_ids(piece)
+        if ids is not None:
+            it = iter(ids)
+            yield from zip(it, it)
+            lineno += len(ids) // 2
+            continue
+        for lineno, line in enumerate(piece.splitlines(), lineno + 1):
+            stripped = line.strip()
+            if not stripped or stripped[0] == "#":
+                continue
+            tokens = stripped.split()
+            if header:
+                header = False
+                if tokens[0] == "n":
+                    yield _declared_order(lineno, tokens)
                     continue
-                for lineno, line in enumerate(piece.splitlines(),
-                                              lineno + 1):
-                    stripped = line.strip()
-                    if not stripped or stripped[0] == "#":
-                        continue
-                    tokens = stripped.split()
-                    if header:
-                        header = False
-                        if tokens[0] == "n":
-                            yield _declared_order(lineno, tokens)
-                            continue
-                        yield None
-                    if len(tokens) != 2:
-                        raise EdgeListSyntaxError(
-                            f"line {lineno}: expected two vertex ids, "
-                            f"got {stripped!r}")
-                    u, v = tokens
-                    digits = u + v
-                    if not (digits.isascii() and digits.isdigit()):
-                        fault = ("negative vertex id"
-                                 if all(map(_SIGNED.fullmatch, tokens))
-                                 else "non-integer token")
-                        raise EdgeListSyntaxError(
-                            f"line {lineno}: {fault} in {stripped!r}")
-                    if u[0] == "0" != u or v[0] == "0" != v:
-                        raise EdgeListSyntaxError(
-                            f"line {lineno}: zero-padded vertex id "
-                            f"in {stripped!r}")
-                    yield int(u), int(v)
-    except ValueError:
-        # Only int() on an id past its digit limit is expected to raise.
-        limit = sys.get_int_max_str_digits()
-        if max(map(len, tokens)) <= limit:
-            raise
-        raise EdgeListSyntaxError(
-            f"line {lineno}: vertex id longer than {limit} digits "
-            f"in {stripped!r}") from None
+                yield None
+            if len(tokens) != 2:
+                raise EdgeListSyntaxError(
+                    f"line {lineno}: expected two vertex ids, "
+                    f"got {stripped!r}")
+            u, v = tokens
+            digits = u + v
+            if not (digits.isascii() and digits.isdigit()):
+                fault = ("negative vertex id"
+                         if all(map(_SIGNED.fullmatch, tokens))
+                         else "non-integer token")
+                raise EdgeListSyntaxError(
+                    f"line {lineno}: {fault} in {stripped!r}")
+            if u[0] == "0" != u or v[0] == "0" != v:
+                raise EdgeListSyntaxError(
+                    f"line {lineno}: zero-padded vertex id in {stripped!r}")
+            try:
+                pair = int(u), int(v)
+            except ValueError:
+                # Of plain digits, int() refuses only more than it reads.
+                raise EdgeListSyntaxError(
+                    f"line {lineno}: vertex id longer than "
+                    f"{sys.get_int_max_str_digits()} digits "
+                    f"in {stripped!r}") from None
+            yield pair
     if header:
         yield None
 

@@ -1,5 +1,6 @@
 """Graph construction, validation, family generators and the two parsers."""
 
+import io
 import random
 import sys
 import tempfile
@@ -106,8 +107,8 @@ def reference_scan_error(n, edges):
 
 # Piece sizes the edge-list tests parse at: the shipped one, and sizes so
 # small that a multi-line input spans several pieces, most lines start a
-# piece, and every canonical piece after the first line takes the bulk
-# path.
+# piece, and every canonical piece after the one that holds the first
+# data line takes the bulk path.
 CHUNKS = (_CHUNK, 1, 5)
 
 
@@ -156,6 +157,10 @@ class TestGraphCore:
         [(0, 1), (1, 0), (2, 2)],           # duplicate, then loop
         [(0, 1), (-1, 2), (2, 2)],          # negative id, then loop
         [(0, 4), (4, 1), (1, 9)],           # out of range, both sides
+        [(0, 1), (1, 0), (-1, 2)],          # duplicate, then negative id
+        # -1 names vertex 3, whose list then holds 2 twice: a repeat that
+        # no edge makes.
+        [(3, 2), (-1, 2)],
     ])
     def test_first_fault_decides_error(self, edges):
         kind, message = reference_scan_error(4, edges)
@@ -388,6 +393,35 @@ class TestEdgeListParser:
         # Every entry naming a vertex is that vertex's one int object.
         named = {id(w) for nbrs in g.adjacency for w in nbrs}
         assert len(named) == sum(1 for d in g.degrees if d)
+
+    @pytest.mark.parametrize("last, reads", [
+        ("", 1), ("2 1\n", 2), ("0 3\n", 2),
+    ], ids=["clean", "repeated-edge", "out-of-range"])
+    def test_a_fault_costs_one_reread(self, last, reads):
+        # The build reads the input once, and on a graph fault once more
+        # to name the first faulty edge.
+        edge_list_items = graph._edge_list_items
+        calls = []
+
+        def counted(source):
+            calls.append(source)
+            return edge_list_items(source)
+
+        with mock.patch.object(graph, "_edge_list_items", counted):
+            outcome(parse_edge_list, "n 3\n0 1\n1 2\n" + last)
+        assert len(calls) == reads
+
+    @pytest.mark.parametrize("filler", [0, 10_000],
+                             ids=["first-block", "later-block"])
+    def test_undecodable_byte_in_file(self, filler):
+        # Only int() past its digit limit is read as a syntax error; a
+        # file's UnicodeDecodeError, also a ValueError, passes through.
+        data = b"n 3\n0 1\n" + b"# comment\n" * filler + b"\xff 2\n"
+        with tempfile.TemporaryFile() as f:
+            f.write(data)
+            f.seek(0)
+            with pytest.raises(UnicodeDecodeError):
+                parse_edge_list(io.TextIOWrapper(f, encoding="utf-8"))
 
     def test_later_syntax_error_wins_over_graph_fault(self):
         with pytest.raises(EdgeListSyntaxError,
