@@ -83,6 +83,15 @@ class TestCompute:
         result = run_cli("compute", str(path))
         assert result.returncode == 2
 
+    def test_headerless_fault_names_file_ids(self, tmp_path):
+        # The ids are compacted for the build, but the error names the
+        # ids of the file.
+        path = tmp_path / "repeat.edges"
+        path.write_text("4 7\n7 4\n")
+        result = run_cli("compute", str(path))
+        assert (result.returncode, result.stdout, result.stderr) == \
+            (2, "", "error: edge (4, 7) appears more than once\n")
+
     def test_order_too_large_exit_2(self, tmp_path):
         path = tmp_path / "huge.edges"
         path.write_text("n 1000000000000\n0 1\n")

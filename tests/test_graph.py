@@ -313,6 +313,19 @@ class TestEdgeListParser:
         assert parse_edge_list("10 20\n20 30\n") == \
             build_graph(3, [(0, 1), (1, 2)])
 
+    # Without a header the ids are compacted, but a fault names the ids
+    # the file holds, so that its line can be found.
+    @pytest.mark.parametrize("text, kind, message", [
+        ("4 7\n7 4\n", DuplicateEdgeError,
+         "edge (4, 7) appears more than once"),
+        ("10 20\n20 20\n", LoopEdgeError, "self-loop at vertex 20"),
+    ], ids=["repeat", "loop"])
+    def test_headerless_fault_names_file_ids(self, text, kind, message):
+        with pytest.raises(kind) as info:
+            parse_chunked(text)
+        assert type(info.value) is kind
+        assert str(info.value) == message
+
     def test_one_based_input_normalized(self):
         g = parse_edge_list("1 2\n2 3\n")
         assert g.n == 3
@@ -363,9 +376,11 @@ class TestEdgeListParser:
 
     def test_ingest_memory_per_edge(self):
         # Held lines, a list of edges or an int per neighbour entry would
-        # each cost more than this bound. The faulting copy, whose last
-        # line repeats an edge, is read again after the fault and must
-        # stay under it too.
+        # each cost more than the headed bound. A list without a header,
+        # its ids written as 3w + 1, holds each id once: a list of pairs
+        # or of mapped ids on top would cost more than its bound. Each
+        # faulting copy, whose last line repeats an edge, is scanned again
+        # after the fault and must stay under its bound too.
         n, m = 20_000, 40_000
         rng = random.Random(20)
         edges = set()
@@ -373,33 +388,46 @@ class TestEdgeListParser:
             u, v = rng.randrange(n), rng.randrange(n)
             if u != v:
                 edges.add((min(u, v), max(u, v)))
-        lines = [f"{u} {v}" if rng.random() < 0.5 else f"{v} {u}"
+        pairs = [(u, v) if rng.random() < 0.5 else (v, u)
                  for u, v in sorted(edges)]
-        rng.shuffle(lines)
-        text = f"n {n}\n" + "\n".join(lines) + "\n"
-        faulting = text + lines[0] + "\n"
-        outcomes, peaks = [], []
-        for source in (text, faulting):
+        rng.shuffle(pairs)
+        used = sorted({w for e in edges for w in e})
+        rank = dict(zip(used, range(len(used))))
+        headed = f"n {n}\n" + "".join(f"{u} {v}\n" for u, v in pairs)
+        bare = "".join(f"{3 * u + 1} {3 * v + 1}\n" for u, v in pairs)
+        u, v = pairs[0]
+        cases = [(headed, 128), (headed + f"{u} {v}\n", 128),
+                 (bare, 224), (bare + f"{3 * u + 1} {3 * v + 1}\n", 224)]
+        outcomes = []
+        for source, bound in cases:
             tracemalloc.start()
             try:
                 outcomes.append(outcome(parse_edge_list, source))
-                peaks.append(tracemalloc.get_traced_memory()[1])
+                peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        g, fault = outcomes
-        assert g == build_graph(n, sorted(edges))
-        assert fault[0] is DuplicateEdgeError
-        assert max(peaks) < 128 * m, peaks
+            assert peak < bound * m, (bound * m, peak)
+        u, v = sorted(pairs[0])
+        assert outcomes == [
+            build_graph(n, sorted(edges)),
+            (DuplicateEdgeError, f"edge {(u, v)} appears more than once"),
+            build_graph(len(used), [(rank[u], rank[v]) for u, v in edges]),
+            (DuplicateEdgeError,
+             f"edge {(3 * u + 1, 3 * v + 1)} appears more than once"),
+        ]
         # Every entry naming a vertex is that vertex's one int object.
-        named = {id(w) for nbrs in g.adjacency for w in nbrs}
-        assert len(named) == sum(1 for d in g.degrees if d)
+        for g in outcomes[::2]:
+            named = {id(w) for nbrs in g.adjacency for w in nbrs}
+            assert len(named) == sum(1 for d in g.degrees if d)
 
-    @pytest.mark.parametrize("last, reads", [
-        ("", 1), ("2 1\n", 2), ("0 3\n", 2),
-    ], ids=["clean", "repeated-edge", "out-of-range"])
-    def test_a_fault_costs_one_reread(self, last, reads):
+    @pytest.mark.parametrize("text, reads", [
+        ("n 3\n0 1\n1 2\n", 1), ("n 3\n0 1\n1 2\n2 1\n", 2),
+        ("n 3\n0 1\n1 2\n0 3\n", 2), ("0 1\n1 2\n2 1\n", 1),
+    ], ids=["clean", "repeated-edge", "out-of-range", "header-less-repeat"])
+    def test_a_fault_costs_one_reread(self, text, reads):
         # The build reads the input once, and on a graph fault once more
-        # to name the first faulty edge.
+        # to name the first faulty edge. Without a header the ids are
+        # held, and the fault scan walks them instead of the text.
         edge_list_items = graph._edge_list_items
         calls = []
 
@@ -408,7 +436,7 @@ class TestEdgeListParser:
             return edge_list_items(source)
 
         with mock.patch.object(graph, "_edge_list_items", counted):
-            outcome(parse_edge_list, "n 3\n0 1\n1 2\n" + last)
+            outcome(parse_edge_list, text)
         assert len(calls) == reads
 
     @pytest.mark.parametrize("filler", [0, 10_000],
@@ -662,18 +690,22 @@ def header_edge_lists(draw):
 def test_edge_list_parse_matches_build_graph(case, newline, size):
     """parse_edge_list on a header edge list returns build_graph of the
     same pairs, or raises the same error of the first faulty edge; on a
-    header-less list, of the pairs with compacted ids; at every piece
-    size in CHUNKS."""
+    header-less list, build_graph of the pairs with compacted ids, or the
+    error of the first faulty edge in the ids the text holds; at every
+    piece size in CHUNKS."""
     n, pairs, headed = case
     if headed:
         text = newline.join([f"n {n}"] + [f"{u} {v}" for u, v in pairs])
+        fault = reference_scan_error(n, pairs)
     else:
-        text = newline.join(f"{3 * u + 1} {3 * v + 1}" for u, v in pairs)
+        written = [(3 * u + 1, 3 * v + 1) for u, v in pairs]
+        text = newline.join(f"{u} {v}" for u, v in written)
+        # No written id reaches 3n + 2, so none is out of range.
+        fault = reference_scan_error(3 * n + 2, written)
         index = {w: i for i, w in enumerate(sorted({w for e in pairs
                                                      for w in e}))}
         n = len(index)
         pairs = [(index[u], index[v]) for u, v in pairs]
-    fault = reference_scan_error(n, pairs)
     with mock.patch.object(graph, "_CHUNK", size):
         got = outcome(parse_edge_list, text)
     assert got == (fault or build_graph(n, pairs))
