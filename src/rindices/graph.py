@@ -241,23 +241,27 @@ def is_connected(g):
 
 
 def first_unreachable_vertex(g):
-    """Smallest vertex id not reachable from vertex 0, or None if connected."""
-    if g.n <= 1:
+    """Smallest vertex id not reachable from vertex 0, or None if connected.
+
+    The walk stops once every vertex is seen, so on K_n it reads one
+    neighbour tuple, not n; it marks a vertex seen in one byte."""
+    n = g.n
+    if n <= 1:
         return None
     adjacency = g.adjacency
-    seen = [False] * g.n
-    seen[0] = True
+    seen = bytearray(n)
+    seen[0] = 1
+    unseen = n - 1
     stack = [0]
     while stack:
-        u = stack.pop()
-        for w in adjacency[u]:
+        for w in adjacency[stack.pop()]:
             if not seen[w]:
-                seen[w] = True
+                seen[w] = 1
+                unseen -= 1
                 stack.append(w)
-    for v in range(g.n):
-        if not seen[v]:
-            return v
-    return None
+        if not unseen:
+            return None
+    return seen.index(0)
 
 
 def generate_family(family, n):
@@ -268,16 +272,17 @@ def generate_family(family, n):
         raise OrderTooSmallError(
             f"{family.value} graph requires n >= {minimum}, got {n}"
         )
-    inner = [(i - 1, i + 1) for i in range(1, n - 1)]
-    if family is Family.PATH:
-        adjacency = [(1,)] + inner + [(n - 2,)]
-    elif family is Family.CYCLE:
-        adjacency = [(1, n - 1)] + inner + [(0, n - 2)]
-    elif family is Family.COMPLETE:
+    if family is Family.COMPLETE:
         adjacency = [tuple(range(i)) + tuple(range(i + 1, n))
                      for i in range(n)]
-    else:  # star: vertex 0 is the center
+    elif family is Family.STAR:  # vertex 0 is the center
         adjacency = [tuple(range(1, n))] + [(0,)] * (n - 1)
+    else:
+        inner = [(i - 1, i + 1) for i in range(1, n - 1)]
+        if family is Family.PATH:
+            adjacency = [(1,)] + inner + [(n - 2,)]
+        else:
+            adjacency = [(1, n - 1)] + inner + [(0, n - 2)]
     return Graph._from_sorted_adjacency(n, adjacency)
 
 

@@ -5,9 +5,13 @@ floats. Every index requires a connected graph with at least two
 vertices; the definitions do not extend to disconnected input and
 summing over components would be an invention, so that is a hard error.
 
-full_report holds the only copy of each formula and returns an
-IndexReport, a named tuple; the per-index functions select one field of
-it. Of the degree table it reads only the R degrees r(v). The exact R
+full_report computes every index in one fused edge pass and returns an
+IndexReport, a named tuple; the classical per-index functions select one
+field of it. r1_index, r2_index, r3_index and the closed-form verifier
+read only R1-R3, so they run _r_indices, which skips the float terms and
+Zagreb2. R2's sum is thus written twice, on purpose: a full_report made
+of the R pass and a separate classical pass ran `batch` 7.5% slower.
+Both read only the R degrees r(v) of the degree table. The exact R
 indices are grouped by vertex, so each costs n big-integer products,
 plus m big additions for R2, instead of one big product per edge:
 
@@ -51,19 +55,33 @@ def _require_valid(g):
         raise DisconnectedGraphError(bad)
 
 
+def _r_indices(g):
+    """(R1, R2, R3) of g, with no classical index computed."""
+    _require_valid(g)
+    r = r_degree_table(g).r_degrees
+    r2 = 0
+    for u, nbrs in enumerate(g.adjacency):
+        r_upper = 0
+        for v in nbrs[bisect_right(nbrs, u):]:
+            r_upper += r[v]
+        r2 += r[u] * r_upper
+    return (sum(x * x for x in r), r2,
+            sum(d * x for d, x in zip(g.degrees, r)))
+
+
 def r1_index(g):
     """Sum of squared R degrees over all vertices."""
-    return full_report(g).r1
+    return _r_indices(g)[0]
 
 
 def r2_index(g):
     """Sum over edges of the product of endpoint R degrees."""
-    return full_report(g).r2
+    return _r_indices(g)[1]
 
 
 def r3_index(g):
     """Sum over edges of the sum of endpoint R degrees."""
-    return full_report(g).r3
+    return _r_indices(g)[2]
 
 
 def abc_index(g):

@@ -14,6 +14,7 @@ from rindices import (
     RIndex,
     Source,
     closed_form,
+    full_report,
     generate_family,
     r1_index,
     r2_index,
@@ -148,6 +149,27 @@ class TestSerialization:
         report = verify_family(Family.PATH, [5])
         csv_text = report_to_csv(report)
         assert "path,r1,5,statement,15/2,146,Mismatch" in csv_text
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_csv_equals_rows_built_from_full_report(self, family):
+        orders = range(3, 41)
+        lines = [families.VERIFY_CSV_HEADER]
+        for index in RIndex:
+            for n in orders:
+                computed = getattr(
+                    full_report(generate_family(family, n)), index.value)
+                for source in Source:
+                    for v in variants_for(family):
+                        if (v.index, v.source) == (index, source):
+                            claimed = v.evaluate(n)
+                            verdict = ("Match" if claimed == computed
+                                       else "Mismatch")
+                            lines.append(
+                                f"{family.value},{index.value},{n},"
+                                f"{source.value},{claimed},{computed},"
+                                f"{verdict}")
+        assert report_to_csv(verify_family(family, orders)) == \
+            "\n".join(lines) + "\n"
 
     def test_summary_counts(self):
         report = verify_family(Family.CYCLE, range(3, 13))

@@ -5,6 +5,7 @@ import random
 import sys
 import tempfile
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import networkx as nx
@@ -204,6 +205,44 @@ class TestConnectivity:
 
     def test_empty_graph(self):
         assert is_connected(build_graph(0, []))
+
+    def test_complete_graph_reads_one_neighbour_tuple(self):
+        class CountingAdjacency:
+            def __init__(self, rows):
+                self.rows = rows
+                self.reads = 0
+
+            def __getitem__(self, v):
+                self.reads += 1
+                return self.rows[v]
+
+        k50 = generate_family(Family.COMPLETE, 50)
+        adjacency = CountingAdjacency(k50.adjacency)
+        stand_in = SimpleNamespace(n=50, adjacency=adjacency)
+        assert graph.first_unreachable_vertex(stand_in) is None
+        assert adjacency.reads == 1
+
+    @pytest.mark.parametrize("n, edges, expected", [
+        (5, [(0, 2), (2, 3), (3, 4)], 1),
+        (7, [(0, 1), (1, 2), (4, 5), (5, 6), (2, 6)], 3),
+        (6, [(0, 1), (1, 2), (2, 3), (3, 4)], 5),
+        (2, [], 1),
+        (6, [(0, 5), (4, 5), (3, 4)], 1),
+    ])
+    def test_smallest_unreachable_vertex(self, n, edges, expected):
+        assert graph.first_unreachable_vertex(build_graph(n, edges)) == \
+            expected
+
+    def test_check_memory_per_vertex(self):
+        n = 100_000
+        path = generate_family(Family.PATH, n)
+        tracemalloc.start()
+        try:
+            assert graph.first_unreachable_vertex(path) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * n
 
 
 class TestFamilies:
@@ -448,8 +487,9 @@ class TestEdgeListParser:
         with tempfile.TemporaryFile() as f:
             f.write(data)
             f.seek(0)
-            with pytest.raises(UnicodeDecodeError):
-                parse_edge_list(io.TextIOWrapper(f, encoding="utf-8"))
+            with io.TextIOWrapper(f, encoding="utf-8") as text, \
+                    pytest.raises(UnicodeDecodeError):
+                parse_edge_list(text)
 
     def test_later_syntax_error_wins_over_graph_fault(self):
         with pytest.raises(EdgeListSyntaxError,

@@ -27,9 +27,10 @@ from rindices import (
     r2_index,
     r3_index,
     r_degree_table,
+    verify_family,
 )
 from rindices.families import variants_for
-from rindices.indices import _edge_terms
+from rindices.indices import _edge_terms, _r_indices
 from util import relabel
 
 REL_TOL = 1e-9
@@ -180,6 +181,15 @@ class TestFullReport:
         assert (report.zagreb1, report.zagreb2, report.randic) == \
             pytest.approx((z1, z2, randic), rel=1e-12)
 
+    def test_r_selectors_and_verifier_skip_the_classical_pass(self):
+        # No edge term is looked up when only R1-R3 are read.
+        _edge_terms.cache_clear()
+        verify_family(Family.COMPLETE, range(3, 31))
+        g = generate_random_connected(30, 0.3, seed=5)
+        r1_index(g), r2_index(g), r3_index(g)
+        info = _edge_terms.cache_info()
+        assert (info.hits, info.misses) == (0, 0)
+
 
 class TestIndexReport:
     FIELDS = ["n", "m", "r1", "r2", "r3", "abc", "ga", "h", "chi",
@@ -273,6 +283,15 @@ class TestProperties:
         assert report.chi == pytest.approx(oracle.naive_chi(g), rel=REL_TOL)
         assert report.zagreb1 == oracle.naive_zagreb1(g)
         assert report.zagreb2 == oracle.naive_zagreb2(g)
+
+    @given(st.integers(min_value=2, max_value=35), st.integers(),
+           st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_r_pass_equals_full_report_and_oracle(self, n, seed, p):
+        g = generate_random_connected(n, p, seed)
+        report = full_report(g)
+        assert _r_indices(g) == (report.r1, report.r2, report.r3) == \
+            (oracle.naive_r1(g), oracle.naive_r2(g), oracle.naive_r3(g))
 
     @given(st.integers(min_value=2, max_value=35), st.integers(),
            st.floats(min_value=0.0, max_value=1.0))
