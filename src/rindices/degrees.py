@@ -5,10 +5,20 @@ of a vertex in K_n is (n-1)^(n-1), which passes 2^64 already at n = 17,
 so nothing here may ever be narrowed to a machine word. One generator,
 _sums_and_mults, holds the per-vertex formula; the table and the
 single-vertex functions all read it.
+
+The paper derives its closed forms by vertex class: vertices whose
+neighbours have the same degrees have the same r. The table uses this
+for runs of consecutive vertices. Each vertex's neighbour degrees are
+gathered into a list, and a list equal to the previous vertex's reuses
+that vertex's (sum, product). K_n thus costs one (n-1)-factor product
+per graph, not n. C_n, a path's interior, a wheel's rim and each side
+of K_{p,q} likewise cost one product each when their vertices are
+numbered consecutively.
 """
 
 import math
-from operator import sub
+from itertools import starmap
+from operator import add, sub
 
 
 class RDegreeTable:
@@ -33,9 +43,8 @@ class RDegreeTable:
     def sum_degrees(self):
         """Sum degree of every vertex, derived on first access."""
         if self._sums is None:
-            g = self._graph
-            self._sums = tuple(s for s, _ in _sums_and_mults(g.degrees,
-                                                             g.adjacency))
+            self._sums = tuple(s for s, _ in _table_sums_and_mults(
+                self._graph))
         return self._sums
 
     @property
@@ -50,17 +59,30 @@ class RDegreeTable:
         return len(self.r_degrees)
 
 
-def _sums_and_mults(degrees, adjacency):
+def _sums_and_mults(degree, adjacency):
     """(sum, product) of the neighbour degrees of each neighbour tuple in
-    adjacency, in order; (0, 1) for an empty one."""
+    adjacency, in order, where degree(u) is u's degree; (0, 1) for an
+    empty one. A tuple whose degree list equals the one before reuses its
+    pair, found with one list compare."""
+    previous = pair = None
     for neighbors in adjacency:
-        d = [degrees[u] for u in neighbors]
-        yield sum(d), math.prod(d)
+        d = list(map(degree, neighbors))
+        if d != previous:
+            previous = d
+            pair = sum(d), math.prod(d)
+        yield pair
+
+
+def _table_sums_and_mults(g):
+    """_sums_and_mults over every vertex of g. The degrees are read
+    through a list: list.__getitem__ is a fast method under map, while a
+    tuple's is a slot wrapper."""
+    return _sums_and_mults(list(g.degrees).__getitem__, g.adjacency)
 
 
 def _sum_and_mult(g, v):
-    """(sum, product) of the degrees of v's neighbours."""
-    return next(_sums_and_mults(g.degrees, [g.neighbors(v)]))
+    """(sum, product) of the degrees of v's neighbours, in O(deg v)."""
+    return next(_sums_and_mults(g.degrees.__getitem__, [g.neighbors(v)]))
 
 
 def sum_degree(g, v):
@@ -81,5 +103,4 @@ def r_degree(g, v):
 def r_degree_table(g):
     """The degree table of g, with the R degree of every vertex, in id
     order, computed now; see RDegreeTable."""
-    return RDegreeTable(g, tuple(s + p for s, p in
-                                 _sums_and_mults(g.degrees, g.adjacency)))
+    return RDegreeTable(g, tuple(starmap(add, _table_sums_and_mults(g))))

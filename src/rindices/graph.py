@@ -272,17 +272,19 @@ def generate_family(family, n):
         raise OrderTooSmallError(
             f"{family.value} graph requires n >= {minimum}, got {n}"
         )
+    # Every neighbour entry is taken from one tuple of ids, so the graph
+    # holds one int object per vertex, not one per entry.
+    ids = tuple(range(n))
     if family is Family.COMPLETE:
-        adjacency = [tuple(range(i)) + tuple(range(i + 1, n))
-                     for i in range(n)]
+        adjacency = [ids[:i] + ids[i + 1:] for i in range(n)]
     elif family is Family.STAR:  # vertex 0 is the center
-        adjacency = [tuple(range(1, n))] + [(0,)] * (n - 1)
+        adjacency = [ids[1:]] + [ids[:1]] * (n - 1)
     else:
-        inner = [(i - 1, i + 1) for i in range(1, n - 1)]
+        inner = list(zip(ids, ids[2:]))  # (i - 1, i + 1) for 0 < i < n - 1
         if family is Family.PATH:
-            adjacency = [(1,)] + inner + [(n - 2,)]
+            adjacency = [ids[1:2]] + inner + [ids[n - 2:n - 1]]
         else:
-            adjacency = [(1, n - 1)] + inner + [(0, n - 2)]
+            adjacency = [(ids[1], ids[-1])] + inner + [(ids[0], ids[-2])]
     return Graph._from_sorted_adjacency(n, adjacency)
 
 

@@ -11,27 +11,33 @@ field of it. r1_index, r2_index, r3_index and the closed-form verifier
 read only R1-R3, so they run _r_indices, which skips the float terms and
 Zagreb2. R2's sum is thus written twice, on purpose: a full_report made
 of the R pass and a separate classical pass ran `batch` 7.5% slower.
-Both read only the R degrees r(v) of the degree table. The exact R
-indices are grouped by vertex, so each costs n big-integer products,
-plus m big additions for R2, instead of one big product per edge:
+Both read only the R degrees r(v) of the degree table, which takes one
+neighbour-degree product per run of vertices with equal neighbour
+degrees: one per graph on K_n (see degrees). The exact R indices are
+grouped by vertex, so each costs n big-integer products, plus m big
+additions for R2, instead of one big product per edge:
 
   R1 = sum_v r(v)^2            R3 = sum_v deg(v) r(v)
   R2 = sum_u r(u) * sum_{w in N(u), w > u} r(w)
   Zagreb1 = sum_v deg(v)^2
   Zagreb2 = sum_u deg(u) * sum_{w in N(u), w > u} deg(w)
 
-so Zagreb2 needs no sum degrees. The five real-valued edge terms depend
-only on the degree pair of the edge, so each pair's terms are evaluated
-once and kept in a bounded per-process cache (the edge-partition view
-of degree-based indices). Float addition is not associative, so the terms
-are still summed edge by edge in sorted order: a graph then gives the
-same bits however its edges were listed on input.
+so Zagreb2 needs no sum degrees. R1, R3 and Zagreb1 are summed at C
+level, as sum(map(mul, ...)); the R2 upper sums stay Python loops, which
+ran faster on K_n than a map or a list comprehension. The five
+real-valued edge terms depend only on the degree pair of the edge, so
+each pair's terms are evaluated once and kept in a bounded per-process
+cache (the edge-partition view of degree-based indices). Float
+addition is not associative, so the terms are still summed edge by edge
+in sorted order: a graph then gives the same bits however its edges
+were listed on input.
 """
 
 import functools
 import math
 from bisect import bisect_right
 from collections import namedtuple
+from operator import mul
 
 from .degrees import r_degree_table
 from .errors import DisconnectedGraphError, OrderTooSmallError
@@ -65,8 +71,7 @@ def _r_indices(g):
         for v in nbrs[bisect_right(nbrs, u):]:
             r_upper += r[v]
         r2 += r[u] * r_upper
-    return (sum(x * x for x in r), r2,
-            sum(d * x for d, x in zip(g.degrees, r)))
+    return sum(map(mul, r, r)), r2, sum(map(mul, g.degrees, r))
 
 
 def r1_index(g):
@@ -153,11 +158,11 @@ def full_report(g):
         zagreb2 += du * d_upper
     return IndexReport(
         n=g.n, m=g.m,
-        r1=sum(x * x for x in r),
+        r1=sum(map(mul, r, r)),
         r2=r2,
-        r3=sum(d * x for d, x in zip(deg, r)),
+        r3=sum(map(mul, deg, r)),
         abc=abc, ga=ga, h=h, chi=chi,
-        zagreb1=sum(d * d for d in deg),
+        zagreb1=sum(map(mul, deg, deg)),
         zagreb2=zagreb2,
         randic=randic,
     )

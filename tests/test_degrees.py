@@ -1,11 +1,13 @@
 """Sum, multiplication and R degree computations."""
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from rindices import (
     Family,
     VertexOutOfRangeError,
@@ -13,10 +15,12 @@ from rindices import (
     generate_family,
     generate_random_connected,
     mult_degree,
+    parse_edge_list,
     r_degree,
     r_degree_table,
     sum_degree,
 )
+from rindices.graph import FAMILY_MIN_ORDER
 from util import relabel
 
 
@@ -142,3 +146,86 @@ class TestInvariants:
         table = r_degree_table(g)
         assert sum(table.sum_degrees) == \
             sum(g.degree(v) ** 2 for v in range(n))
+
+
+def assert_table_matches_naive(g):
+    """Every entry of g's table equals the naive value and the
+    single-vertex functions."""
+    table = r_degree_table(g)
+    assert len(table) == g.n
+    for v in range(g.n):
+        d = [len(g.neighbors(u)) for u in g.neighbors(v)]
+        assert table.sum_degrees[v] == sum_degree(g, v) == sum(d)
+        assert table.mult_degrees[v] == mult_degree(g, v) == math.prod(d)
+        assert table.r_degrees[v] == r_degree(g, v) == \
+            oracle.naive_r_value(g, v)
+
+
+# How a member's hub set is drawn from the one before it. The table reuses
+# a (sum, product) while consecutive neighbour-degree lists are equal, so
+# these make twin runs and the lists that just end them.
+_STEPS = ("twin", "other_last", "drop_last", "add_hub", "isolated", "fresh")
+
+
+@st.composite
+def twin_class_graphs(draw):
+    """Edge-list text with an n header: hubs 0..h-1, joined at random,
+    then members 0..k-1 after them, each adjacent to a set of hubs. Runs
+    of members with one set are twin classes (equal neighbour lists);
+    between them a member's set may differ from the one before only in
+    its last hub, lack its last hub, gain one, or be empty, so that runs
+    of isolated vertices sit under the header."""
+    hubs = draw(st.integers(min_value=1, max_value=5))
+    edges = [(u, v) for u in range(hubs) for v in range(u + 1, hubs)
+             if draw(st.booleans())]
+    hub_set = st.lists(st.integers(0, hubs - 1), unique=True).map(sorted)
+    members = draw(st.integers(min_value=1, max_value=24))
+    previous = draw(hub_set)
+    for member in range(hubs, hubs + members):
+        step = draw(st.sampled_from(_STEPS))
+        current = list(previous)
+        if step == "other_last" and current:
+            current[-1] = draw(st.integers(current[-2] + 1 if len(current) > 1
+                                           else 0, hubs - 1))
+        elif step == "drop_last":
+            current = current[:-1]
+        elif step == "add_hub":
+            current = sorted(set(current) | {draw(st.integers(0, hubs - 1))})
+        elif step == "isolated":
+            current = []
+        elif step == "fresh":
+            current = draw(hub_set)
+        edges += [(hub, member) for hub in current]
+        previous = current
+    # Isolated vertices may also trail the members.
+    n = hubs + members + draw(st.integers(min_value=0, max_value=3))
+    return f"n {n}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
+
+class TestRunReuse:
+    @given(twin_class_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_twin_classes_and_run_breakers(self, text):
+        assert_table_matches_naive(parse_edge_list(text))
+
+    @pytest.mark.parametrize("text,lists", [
+        # Vertices 0 and 1 share hub 2; their last neighbours 3 and 4
+        # have degrees 1 and 2.
+        ("n 6\n0 2\n1 2\n0 3\n1 4\n4 5\n", ([2, 1], [2, 2])),
+        # Vertex 1's list is vertex 0's without its last entry.
+        ("n 4\n0 2\n0 3\n1 2\n", ([2, 1], [2])),
+        # ... and vertex 1's is vertex 0's with one more entry.
+        ("n 4\n0 2\n1 2\n1 3\n", ([2], [2, 1])),
+        # Runs of isolated vertices before, between and after edges.
+        ("n 9\n2 3\n5 6\n", ([], [])),
+    ])
+    def test_run_breakers(self, text, lists):
+        g = parse_edge_list(text)
+        assert [[g.degrees[u] for u in g.neighbors(v)]
+                for v in (0, 1)] == list(lists)
+        assert_table_matches_naive(g)
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_families(self, family):
+        for n in range(FAMILY_MIN_ORDER[family], 40):
+            assert_table_matches_naive(generate_family(family, n))

@@ -282,6 +282,12 @@ class TestFamilies:
         for n in range(FAMILY_MIN_ORDER[family], 61):
             assert_matches_validated_build(generate_family(family, n))
 
+    def test_complete_shares_one_int_per_vertex(self):
+        # Ids past 256 are not cached by the interpreter; every neighbour
+        # entry must still be one of the graph's 300 id objects.
+        g = generate_family(Family.COMPLETE, 300)
+        assert len({id(v) for nbrs in g.adjacency for v in nbrs}) == 300
+
 
 class TestRandomConnected:
     def test_single_vertex(self):

@@ -191,6 +191,49 @@ class TestFullReport:
         assert (info.hits, info.misses) == (0, 0)
 
 
+
+def complete_bipartite(p, q):
+    """K_{p,q}: side 0..p-1 joined to side p..p+q-1."""
+    return build_graph(p + q, [(u, v) for u in range(p)
+                               for v in range(p, p + q)])
+
+
+def wheel(n):
+    """W_n: hub 0 joined to the rim cycle 1..n-1."""
+    rim = range(1, n)
+    return build_graph(n, [(0, v) for v in rim]
+                       + [(v, v + 1) for v in range(1, n - 1)] + [(1, n - 1)])
+
+
+class TestClosedFormsPastThePaper:
+    """Two families derived by the paper's vertex-class method."""
+
+    def assert_indices(self, g, r1, r2, r3):
+        report = full_report(g)
+        assert (report.r1, report.r2, report.r3) == (r1, r2, r3)
+        assert _r_indices(g) == (r1, r2, r3)
+
+    @pytest.mark.parametrize("p", range(1, 13))
+    def test_complete_bipartite(self, p):
+        for q in range(1, 13):
+            g = complete_bipartite(p, q)
+            a = p ** q + p * q  # r of a vertex in the side of size p
+            b = q ** p + p * q
+            assert r_degree_table(g).r_degrees == (a,) * p + (b,) * q
+            self.assert_indices(g, p * a * a + q * b * b, p * q * a * b,
+                                p * q * (a + b))
+
+    def test_wheel(self):
+        for n in range(5, 60):
+            g = wheel(n)
+            hub = 3 ** (n - 1) + 3 * (n - 1)
+            rim = 10 * n - 4
+            assert r_degree_table(g).r_degrees == (hub,) + (rim,) * (n - 1)
+            self.assert_indices(g, hub * hub + (n - 1) * rim * rim,
+                                (n - 1) * (hub * rim + rim * rim),
+                                (n - 1) * (hub + 3 * rim))
+
+
 class TestIndexReport:
     FIELDS = ["n", "m", "r1", "r2", "r3", "abc", "ga", "h", "chi",
               "zagreb1", "zagreb2", "randic"]
