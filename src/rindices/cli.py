@@ -35,7 +35,7 @@ from .graph import (
     write_edge_list,
     write_graph6,
 )
-from .indices import full_report
+from .indices import IndexReport, full_report
 
 EXIT_USAGE = 2
 EXIT_DISCONNECTED = 3
@@ -43,8 +43,7 @@ EXIT_DISCONNECTED = 3
 EXIT_BROKEN_PIPE = 141
 
 
-INDEX_NAMES = ["r1", "r2", "r3", "abc", "ga", "h", "chi",
-               "zagreb1", "zagreb2", "randic"]
+INDEX_NAMES = list(IndexReport._fields[2:])
 
 BATCH_CSV_HEADER = ["name", "n", "m"] + INDEX_NAMES + ["status"]
 
@@ -196,8 +195,7 @@ def _batch_row(item):
     except GraphError as exc:
         status = f"ParseError({exc})"
     else:
-        values = [_fmt_value(getattr(report, name)) for name in INDEX_NAMES]
-        return [f"line{lineno}", n, m] + values + ["Ok"]
+        return [f"line{lineno}", n, m, *map(_fmt_value, report[2:]), "Ok"]
     return [f"line{lineno}", n, m] + [""] * len(INDEX_NAMES) + [status]
 
 

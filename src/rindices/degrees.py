@@ -4,7 +4,9 @@ All three quantities are exact Python integers. The multiplication degree
 of a vertex in K_n is (n-1)^(n-1), which passes 2^64 already at n = 17,
 so nothing here may ever be narrowed to a machine word. One generator,
 _sums_and_mults, holds the per-vertex formula; the table and the
-single-vertex functions all read it.
+single-vertex functions all read it. The table computes the R degrees at
+once, and its sum and product columns are cached properties, derived on
+first read.
 
 The paper derives its closed forms by vertex class: vertices whose
 neighbours have the same degrees have the same r. The table uses this
@@ -17,6 +19,7 @@ numbered consecutively.
 """
 
 import math
+from functools import cached_property
 from itertools import starmap
 from operator import add, sub
 
@@ -27,33 +30,25 @@ class RDegreeTable:
     vertices.
 
     r_degrees is computed when r_degree_table makes the table, and is all
-    that the index report reads. sum_degrees is derived from the graph on
-    first access, and mult_degrees as r_degrees minus sum_degrees, which
-    is exact; each is then kept.
+    that the index report reads. sum_degrees and mult_degrees are cached
+    properties: the sums are derived from the graph on first access, and
+    the products as r_degrees minus the sums, which is exact.
     """
-
-    __slots__ = ("r_degrees", "_graph", "_sums", "_mults")
 
     def __init__(self, g, r_degrees):
         self.r_degrees = r_degrees
         self._graph = g
-        self._sums = self._mults = None
 
-    @property
+    @cached_property
     def sum_degrees(self):
-        """Sum degree of every vertex, derived on first access."""
-        if self._sums is None:
-            self._sums = tuple(s for s, _ in _table_sums_and_mults(
-                self._graph))
-        return self._sums
+        """Sum degree of every vertex."""
+        return tuple(s for s, _ in _table_sums_and_mults(self._graph))
 
-    @property
+    @cached_property
     def mult_degrees(self):
-        """Multiplication degree of every vertex, derived on first
-        access as R degree minus sum degree."""
-        if self._mults is None:
-            self._mults = tuple(map(sub, self.r_degrees, self.sum_degrees))
-        return self._mults
+        """Multiplication degree of every vertex, as R degree minus sum
+        degree."""
+        return tuple(map(sub, self.r_degrees, self.sum_degrees))
 
     def __len__(self):
         return len(self.r_degrees)

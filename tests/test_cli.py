@@ -199,6 +199,26 @@ class TestCompute:
             == (from_file.returncode, from_file.stdout, from_file.stderr) \
             == (2, "", "error: edge (0, 1) appears more than once\n")
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"),
+                        reason="no /dev/stdin")
+    @pytest.mark.parametrize("text, code, first_line, stderr", [
+        ("n 4\n0 1\n1 2\n2 3\n", 0, "n=4 m=3", ""),
+        ("n 3\n0 1\n1 2\n2 1\n", 2, "",
+         "error: edge (1, 2) appears more than once\n"),
+    ], ids=["clean", "repeated-edge"])
+    def test_stdin_pipe_reads_as_the_file(self, tmp_path, text, code,
+                                          first_line, stderr):
+        # A pipe cannot seek back, so it is read whole first; the output
+        # is the regular file's.
+        path = tmp_path / "graph.edges"
+        path.write_text(text)
+        from_pipe = run_cli("compute", "/dev/stdin", input=text, timeout=60)
+        from_file = run_cli("compute", str(path))
+        assert (from_pipe.returncode, from_pipe.stdout, from_pipe.stderr) \
+            == (from_file.returncode, from_file.stdout, from_file.stderr)
+        assert (from_file.returncode, from_file.stdout.split("\n")[0],
+                from_file.stderr) == (code, first_line, stderr)
+
     def test_peak_memory_near_the_parse_peak(self, tmp_path, capsys):
         # The command holds neither the file's text nor a second copy of
         # the graph or of its degree table beyond what parsing needs.

@@ -131,6 +131,12 @@ class TestVerifyFamily:
         monkeypatch.setattr(families, "generate_family", counting)
         verify_family(Family.COMPLETE, range(3, 10))
         assert orders == list(range(3, 10))
+        # Orders below 3, where no claim holds, are neither built nor
+        # reported; a path of order 2 could be built.
+        orders.clear()
+        report = verify_family(Family.PATH, range(1, 6))
+        assert orders == [3, 4, 5]
+        assert sorted({row.n for row in report.rows}) == [3, 4, 5]
 
     def test_cycle_row_count(self):
         # one source per index for cycles

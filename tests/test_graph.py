@@ -1,9 +1,12 @@
 """Graph construction, validation, family generators and the two parsers."""
 
+import contextlib
 import io
+import os
 import random
 import sys
 import tempfile
+import threading
 import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
@@ -59,6 +62,8 @@ class TestBuildGraph:
         g = build_graph(3, [(0, 1), (1, 2), (2, 0)])
         assert g.n == 3 and g.m == 3
         assert g.edges() == ((0, 1), (0, 2), (1, 2))
+        assert repr(g) == "Graph(n=3, m=3)"
+        assert g != (3, g.edges())
 
     def test_single_edge(self):
         g = build_graph(2, [(0, 1)])
@@ -75,6 +80,11 @@ class TestBuildGraph:
     def test_vertex_out_of_range(self):
         with pytest.raises(VertexOutOfRangeError):
             build_graph(2, [(0, 2)])
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError,
+                           match="^vertex count must be nonnegative, got -1$"):
+            Graph(-1, [])
 
     def test_adjacency_symmetry(self):
         g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
@@ -121,10 +131,31 @@ def outcome(parse, text):
         return type(exc), str(exc)
 
 
+@contextlib.contextmanager
+def pipe_stream(text):
+    """An open text stream that reads text from a pipe, so that it cannot
+    seek back. A thread writes the text, as a pipe buffers only a few
+    pages."""
+    read_fd, write_fd = os.pipe()
+
+    def write():
+        with open(write_fd, "w", encoding="utf-8", newline="") as out:
+            out.write(text)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    with open(read_fd, encoding="utf-8", newline="") as stream:
+        assert not stream.seekable()
+        yield stream
+    writer.join(timeout=60)
+    assert not writer.is_alive()
+
+
 def parse_chunked(text):
     """parse_edge_list(text), after checking that every piece size in
     CHUNKS returns the same graph or raises the same error and message,
-    from the str and from an open text file that reads back the text."""
+    from the str, from an open text file that reads back the text, and
+    from a pipe, which is read whole first as it cannot seek back."""
     outcomes = []
     with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as f:
         f.write(text)
@@ -133,6 +164,8 @@ def parse_chunked(text):
                 outcomes.append(outcome(parse_edge_list, text))
                 f.seek(0)
                 outcomes.append(outcome(parse_edge_list, f))
+                with pipe_stream(text) as stream:
+                    outcomes.append(outcome(parse_edge_list, stream))
     assert outcomes == outcomes[:1] * len(outcomes)
     return parse_edge_list(text)
 
@@ -294,6 +327,10 @@ class TestRandomConnected:
         g = generate_random_connected(1, 0.5, seed=1)
         assert g.n == 1 and g.m == 0
 
+    def test_order_zero_rejected(self):
+        with pytest.raises(ValueError, match="^order must be >= 1, got 0$"):
+            generate_random_connected(0, 0.5, seed=1)
+
     def test_p_one_gives_complete(self):
         g = generate_random_connected(10, 1.0, seed=7)
         assert g.m == 45
@@ -345,13 +382,14 @@ class TestEdgeListParser:
         ("0 -1\n", "line 1: negative vertex id in '0 -1'"),
         ("n x\n0 1\n", "line 1: non-integer order 'x'"),
         ("n -3\n0 1\n", "line 1: negative order -3"),
+        ("n 3 4\n0 1\n", "line 1: header must be 'n <count>'"),
     ])
     def test_edge_list_syntax_messages(self, text, message):
         with pytest.raises(EdgeListSyntaxError, match=f"^{message}$"):
             parse_chunked(text)
 
     def test_header_allows_isolated_vertices(self):
-        g = parse_edge_list("n 4\n0 1\n")
+        g = parse_chunked("n 4\n0 1\n")
         assert g.n == 4 and g.m == 1
 
     def test_sparse_ids_compacted(self):
@@ -511,7 +549,7 @@ class TestEdgeListParser:
         kind, message = reference_scan_error(4, edges)
         text = "n 4\n" + "".join(f"{u} {v}\n" for u, v in edges)
         with pytest.raises(kind) as info:
-            parse_edge_list(text)
+            parse_chunked(text)
         assert type(info.value) is kind
         assert str(info.value) == message
 
