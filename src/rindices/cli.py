@@ -27,6 +27,7 @@ from itertools import islice
 from .degrees import r_degree_table
 from .errors import DisconnectedGraphError, GraphError
 from .graph import (
+    _G6_HEADER,
     Family,
     first_unreachable_vertex,
     generate_family,
@@ -70,7 +71,7 @@ def _graph6_lines(f):
     lines = (part for line in f for part in line.splitlines())
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
-        if line and line != ">>graph6<<":
+        if line and line != _G6_HEADER:
             yield lineno, line
 
 

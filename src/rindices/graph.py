@@ -5,11 +5,11 @@ neighbour tuples; its edge tuple is derived from them on each call.
 Graphs are immutable after construction and simple (no loops, no
 duplicate edges): edge input is validated, and the graph6 decoder and the
 family generator build neighbour lists that cannot break this. Edge-list
-text, or an open file of it, is read chunk by chunk into one adjacency
+text, or an open file of it, is read block by block into one adjacency
 build, header or none, and every neighbour entry naming a vertex is that
 vertex's one shared int; a faulty edge is named in the file's own ids. A
-chunk of canonical "id id" lines is checked by one compiled pattern and
-split into ids in one call; any other chunk goes through the per-line
+block of canonical "id id" lines is checked by one compiled pattern and
+split into ids in one call; any other block goes through the per-line
 tokenizer, which alone makes the syntax errors. Connectivity is *not*
 required at construction time; index computations check it themselves.
 """
@@ -320,11 +320,11 @@ _SIGNED = re.compile(r"-?[0-9]+")
 # One or more canonical edge lines: two plain ASCII digit ids, neither
 # zero-padded, one space apart, each line ending in '\n'.
 _CANONICAL = re.compile(r"(?:(?:0|[1-9][0-9]*) (?:0|[1-9][0-9]*)\n)+")
-# Edge-list text is read this many characters at a time. Matching a
-# piece of canonical lines briefly takes about 28 bytes a character, the
-# pattern's state per line, and its ids as strs and ints about 17: 64 Ki
-# pieces added 1.6 MB to the parse peak of a 2.4 MB edge list, and 16 Ki
-# pieces 0.4 MB over 4 Ki ones.
+# Edge-list text is read in blocks of this many characters plus the rest
+# of the line they end in. Matching a block of canonical lines briefly
+# takes about 28 bytes a character, the pattern's state per line, and its
+# ids as strs and ints about 17: 64 Ki blocks added 1.6 MB to the parse
+# peak of a 2.4 MB edge list, and 16 Ki blocks 0.4 MB over 4 Ki ones.
 _CHUNK = 1 << 14
 
 
@@ -340,21 +340,25 @@ def parse_edge_list(source):
     syntax error. Without a header, vertex ids are compacted to a dense
     0-based range in ascending order; a fault still names the file's ids.
 
-    The input is read one chunk of about 16 Ki characters at a time, so
-    a file's text is never held whole. A chunk of canonical "id id"
-    lines, each ending in '\\n', is split into ids in one call; any other
-    chunk is read line by line, so errors and their line numbers are
-    those of the line loop on the text a file's read() returns. Both
-    forms take the one adjacency build, with one shared int per vertex.
-    With a header, the edges stream into it, and on a graph fault it
-    reads the input again from its start (a file is sought back to 0),
-    so that a syntax error anywhere wins over the first faulty edge; a
-    file that cannot seek, such as a pipe, is read whole first. Without
+    The input is read in blocks of about 16 Ki characters, each cut just
+    after a line break, so a file's text is never held whole. A block of
+    canonical "id id" lines, each ending in '\\n', is split into ids in
+    one call; any other block is read line by line, so errors and their
+    line numbers are those of the line loop on the text a file's read()
+    returns. Both forms take the one adjacency build. With a header, the
+    edges stream into it, and on a graph fault it reads the input again
+    from where the parse began (the position tell() gave), so that a
+    syntax error anywhere wins over the first faulty edge; a file whose
+    position cannot be told, such as a pipe, is read whole first. Without
     a header, the ids are held once in a flat list, which the build and
     the fault scan each map through the compacted order.
     """
-    if not isinstance(source, str) and not source.seekable():
-        source = source.read()
+    start = 0
+    if not isinstance(source, str):
+        try:
+            start = source.tell()
+        except OSError:
+            source = source.read()
     items = _edge_list_items(source)
     n = next(items)
     if n is None:
@@ -365,41 +369,32 @@ def parse_edge_list(source):
         again = lambda: zip(*[map(index.__getitem__, ids)] * 2)
         items = again()
     else:
-        names, again = range(n), lambda: _edge_pairs(source)
+        names, again = range(n), lambda: _edge_pairs(source, start)
     adjacency = _sorted_adjacency(n, items, again, names)
     return Graph._from_sorted_adjacency(n, adjacency)
 
 
-def _edge_pairs(source):
-    """The edge pairs of a str or a seekable text file, read again from
-    its start."""
+def _edge_pairs(source, start):
+    """The edge pairs of a str, or of a text file read again from the
+    position start, where the parse began."""
     if not isinstance(source, str):
-        source.seek(0)
+        source.seek(start)
     return islice(_edge_list_items(source), 1, None)
 
 
 def _text_blocks(source):
-    """The text of a str or an open text file, in blocks that each end
-    just after a '\\n', except a last one that holds what follows the
-    last '\\n'. The input is taken _CHUNK characters at a time, so a
-    block is at most _CHUNK characters plus the rest of its last line.
+    """The text of a str or an open text file, in blocks of _CHUNK
+    characters plus the rest of the line they end in, so that every cut
+    falls just after a line break; a last block may end without one.
     """
     if isinstance(source, str):
-        chunks = (source[i:i + _CHUNK] for i in range(0, len(source), _CHUNK))
+        start = 0
+        while start < len(source):
+            end = source.find("\n", start + _CHUNK - 1) + 1 or len(source)
+            yield source[start:end]
+            start = end
     else:
-        chunks = iter(lambda: source.read(_CHUNK), "")
-    rest = []
-    for chunk in chunks:
-        cut = chunk.rfind("\n") + 1
-        if cut:
-            rest.append(chunk[:cut])
-            yield "".join(rest)
-            rest = [chunk[cut:]]
-        else:
-            rest.append(chunk)
-    tail = "".join(rest)
-    if tail:
-        yield tail
+        yield from iter(lambda: source.read(_CHUNK) + source.readline(), "")
 
 
 def _edge_list_items(source):
@@ -407,8 +402,8 @@ def _edge_list_items(source):
     header, then a (u, v) pair of ints for each edge line of a str or an
     open text file; raise EdgeListSyntaxError at the first malformed line.
 
-    Each block of _text_blocks is one piece. Every cut is just after a
-    '\\n', and a cut there never splits a '\\r\\n', so lines are numbered
+    Each block of _text_blocks is one piece. Every cut falls just after
+    a line break and never inside a '\\r\\n', so lines are numbered
     exactly as str.splitlines numbers them. A piece that starts after
     the first data line and that _canonical_ids reads as canonical
     "id id" lines yields its pairs from one split of the piece; any

@@ -1,6 +1,12 @@
-"""End-to-end CLI behavior, including exit codes and batch determinism."""
+"""End-to-end CLI behavior, including exit codes and batch determinism.
+
+Commands run through cli.main in this process. A test starts a child
+process only where the process itself is under test, and says why.
+"""
 
 import concurrent.futures
+import contextlib
+import io
 import os
 import random
 import subprocess
@@ -27,8 +33,21 @@ CLI = [sys.executable, "-m", "rindices.cli"]
 
 
 def run_cli(*args, **kwargs):
-    return subprocess.run(CLI + list(args), capture_output=True,
-                          text=True, **kwargs)
+    """The exit code, stdout and stderr of rindices with args, as a
+    CompletedProcess. cli.main runs in this process, and an argparse exit
+    gives its code; a call with input=, timeout= or env= runs a child."""
+    if kwargs:
+        return subprocess.run(CLI + list(args), capture_output=True,
+                              text=True, **kwargs)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, stdout.getvalue(),
+                                       stderr.getvalue())
 
 
 @pytest.fixture
@@ -56,7 +75,8 @@ class TestCompute:
     def test_disconnected_exit_3(self, tmp_path):
         path = tmp_path / "two.edges"
         path.write_text("0 1\n2 3\n")
-        result = run_cli("compute", str(path))
+        # A child: the code must leave the process through sys.exit(main()).
+        result = run_cli("compute", str(path), timeout=60)
         assert result.returncode == 3
         assert "vertex 2" in result.stderr
 
@@ -80,7 +100,8 @@ class TestCompute:
     def test_parse_error_exit_2(self, tmp_path):
         path = tmp_path / "bad.edges"
         path.write_text("0 zero\n")
-        result = run_cli("compute", str(path))
+        # A child: the code must leave the process through sys.exit(main()).
+        result = run_cli("compute", str(path), timeout=60)
         assert result.returncode == 2
 
     def test_headerless_fault_names_file_ids(self, tmp_path):
@@ -175,8 +196,8 @@ class TestCompute:
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
     def test_fifo_input_read_whole_before_the_fault(self, tmp_path):
-        # A FIFO cannot seek back for the fault's second read, so it is
-        # read whole first; the error is the regular file's.
+        # A FIFO cannot tell its position for the fault's second read, so
+        # it is read whole first; the error is the regular file's.
         text = write_edge_list(generate_family(Family.CYCLE, 6000))
         text += text.split("\n")[1] + "\n"
         assert len(text) > 3 * _CHUNK
@@ -188,6 +209,7 @@ class TestCompute:
                                   daemon=True)
         writer.start()
         try:
+            # A child, with a timeout: a FIFO never opened would hang here.
             from_fifo = run_cli("compute", str(fifo), timeout=60)
         finally:
             # Unblocks the writer if the command never opened the FIFO.
@@ -208,10 +230,11 @@ class TestCompute:
     ], ids=["clean", "repeated-edge"])
     def test_stdin_pipe_reads_as_the_file(self, tmp_path, text, code,
                                           first_line, stderr):
-        # A pipe cannot seek back, so it is read whole first; the output
-        # is the regular file's.
+        # A pipe cannot tell its position, so it is read whole first; the
+        # output is the regular file's.
         path = tmp_path / "graph.edges"
         path.write_text(text)
+        # A child: /dev/stdin must be the process's own stdin, a pipe.
         from_pipe = run_cli("compute", "/dev/stdin", input=text, timeout=60)
         from_file = run_cli("compute", str(path))
         assert (from_pipe.returncode, from_pipe.stdout, from_pipe.stderr) \
@@ -264,6 +287,20 @@ class TestCompute:
                 f"error: line 3: a second graph in {path}; compute and "
                 f"rdegrees read one graph, batch reads a corpus\n")
 
+    def test_format_flag_overrides_extension(self, tmp_path):
+        # --format wins over the file name, and a graph6 file that holds
+        # only blank and header lines is an error.
+        path = tmp_path / "p3.g6"
+        path.write_text("0 1\n1 2\n")
+        result = run_cli("compute", str(path), "--format", "edgelist",
+                         "--indices", "r1")
+        assert (result.returncode, result.stdout) == (0, "n=3 m=2\nr1=41\n")
+        blank = tmp_path / "blank.edges"
+        blank.write_text("\n>>graph6<<\n")
+        result = run_cli("rdegrees", str(blank), "--format", "graph6")
+        assert (result.returncode, result.stdout, result.stderr) == (
+            2, "", f"error: no graph6 line found in {blank}\n")
+
     def test_graph6_inferred_from_extension(self, tmp_path):
         path = tmp_path / "c6.g6"
         path.write_text(write_graph6(generate_family(Family.CYCLE, 6)) + "\n")
@@ -301,6 +338,7 @@ class TestRDegrees:
         # writing when the pipe closes.
         path = tmp_path / "p20000.edges"
         path.write_text(write_edge_list(generate_family(Family.PATH, 20000)))
+        # A child: the exit code and the devnull swap act on the process.
         proc = subprocess.Popen(CLI + ["rdegrees", str(path)],
                                 stdout=subprocess.PIPE,
                                 stderr=subprocess.PIPE, text=True)
@@ -491,6 +529,7 @@ class TestBatch:
         # the ParseError row of a replaced byte.
         src = tmp_path / "bytes.g6"
         src.write_bytes(b"A_\n\xff\nBw\n")
+        # A child: PYTHONIOENCODING sets stdout's encoding at start-up.
         result = run_cli("batch", str(src),
                          env=dict(os.environ, PYTHONIOENCODING="ascii"))
         assert result.returncode == 0, result.stderr
@@ -533,6 +572,7 @@ class TestBatchPool:
         outs = {}
         for jobs in ("1", "2"):
             out = tmp_path / f"j{jobs}.csv"
+            # A child: the bytes of the process's stdout are compared.
             result = run_cli("batch", str(corpus), "--out", str(out),
                              "--jobs", jobs, timeout=120)
             assert result.returncode == 0, result.stderr
@@ -550,6 +590,7 @@ class TestBatchPool:
         assert statuses == {"Ok", "ParseError", "Disconnected"}
 
     def test_spawn_start_method_same_bytes(self, corpus, tmp_path):
+        # A child: the start method can be set once per process.
         code = ("import multiprocessing, sys\n"
                 "from rindices import cli\n"
                 "multiprocessing.set_start_method('spawn')\n"
@@ -570,6 +611,7 @@ class TestBatchPool:
         # still busy when the reader goes away.
         path = tmp_path / "big.g6"
         write_mixed_corpus(path, 8 * cli.BATCH_CHUNK)
+        # A child: the exit code and the devnull swap act on the process.
         proc = subprocess.Popen(CLI + ["batch", str(path), "--jobs", "2"],
                                 stdout=subprocess.PIPE,
                                 stderr=subprocess.PIPE, text=True)
@@ -585,7 +627,8 @@ class TestBatchPool:
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs a pool")
     def test_dead_worker_fails_instead_of_hanging(self, corpus):
         # The worker that takes line 600 exits at once, as one killed by
-        # the system would; its chunk never comes back.
+        # the system would; its chunk never comes back. A child: its
+        # workers fork from a process whose row function is patched.
         code = ("import multiprocessing, os, sys\n"
                 "from rindices import cli\n"
                 "multiprocessing.set_start_method('fork')\n"
@@ -601,7 +644,8 @@ class TestBatchPool:
                                  "before returning its rows\n")
 
     def test_import_loads_no_pool_module(self):
-        # In a fresh interpreter: this module imports concurrent.futures.
+        # A child: a fresh interpreter, as this module imports
+        # concurrent.futures.
         code = ("import sys, rindices.cli\n"
                 "loaded = {'concurrent.futures', 'multiprocessing'}\n"
                 "sys.exit(' '.join(sorted(loaded & set(sys.modules)))"
@@ -684,6 +728,7 @@ class TestColdStart:
               "inspect", "random", "rindices.families"]
 
     def test_commands_load_only_what_they_run(self, tmp_path):
+        # A child: a fresh interpreter, which has loaded nothing yet.
         edges = tmp_path / "tiny.el"
         edges.write_text("0 1\n1 2\n")
         corpus = tmp_path / "tiny.g6"

@@ -134,8 +134,8 @@ def outcome(parse, text):
 @contextlib.contextmanager
 def pipe_stream(text):
     """An open text stream that reads text from a pipe, so that it cannot
-    seek back. A thread writes the text, as a pipe buffers only a few
-    pages."""
+    seek or tell its position. A thread writes the text, as a pipe buffers
+    only a few pages."""
     read_fd, write_fd = os.pipe()
 
     def write():
@@ -155,7 +155,8 @@ def parse_chunked(text):
     """parse_edge_list(text), after checking that every piece size in
     CHUNKS returns the same graph or raises the same error and message,
     from the str, from an open text file that reads back the text, and
-    from a pipe, which is read whole first as it cannot seek back."""
+    from a pipe, which is read whole first as it cannot tell its
+    position."""
     outcomes = []
     with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as f:
         f.write(text)
@@ -522,6 +523,27 @@ class TestEdgeListParser:
             outcome(parse_edge_list, text)
         assert len(calls) == reads
 
+    @pytest.mark.parametrize("rest, fault", [
+        ("n 3\n0 1\n1 2\n1 2\n",
+         (DuplicateEdgeError, "edge (1, 2) appears more than once")),
+        ("n 3\n0 1\n1 2\n", None),
+    ], ids=["repeated-edge", "clean"])
+    @pytest.mark.parametrize("kind", ["string-io", "file", "file-next"])
+    def test_fault_rescan_starts_where_the_parse_began(self, rest, fault,
+                                                       kind):
+        # The source has been read past a first line, "0 x", that the
+        # parse is not given: a fault's second read starts where the
+        # first began, not at the start of the text. A file that next()
+        # is reading cannot tell its position, so it is read whole first.
+        text = "0 x\n" + rest
+        with tempfile.TemporaryFile("w+", encoding="utf-8") as file:
+            f = io.StringIO() if kind == "string-io" else file
+            f.write(text)
+            f.seek(0)
+            next(f) if kind == "file-next" else f.readline()
+            got = outcome(parse_edge_list, f)
+        assert got == (fault or parse_edge_list(rest))
+
     @pytest.mark.parametrize("filler", [0, 10_000],
                              ids=["first-block", "later-block"])
     def test_undecodable_byte_in_file(self, filler):
@@ -637,6 +659,14 @@ class TestGraph6:
     def test_truncated(self):
         with pytest.raises(TruncatedDataError):
             parse_graph6("D?")
+
+    @pytest.mark.parametrize("text", ["~", "~?", "~~", "~~?", "~??",
+                                      "~~?????"])
+    def test_incomplete_order_prefix(self, text):
+        # A long-form order prefix cut short, before any adjacency byte.
+        with pytest.raises(TruncatedDataError,
+                           match="^incomplete graph6 order prefix$"):
+            parse_graph6(text)
 
     @pytest.mark.parametrize("text", ["Ch???", "A_?", "A`", "Ah", "D?|"])
     def test_trailing_data_rejected(self, text):
