@@ -29,7 +29,8 @@ from .errors import DisconnectedGraphError, GraphError
 from .graph import (
     _G6_HEADER,
     Family,
-    first_unreachable_vertex,
+    _require_connected,
+    _vertex_names,
     generate_family,
     parse_edge_list,
     parse_graph6,
@@ -147,14 +148,12 @@ def cmd_compute(args):
 
 def cmd_rdegrees(args):
     g = _load_graph(args.path, args.format)
-    bad = first_unreachable_vertex(g)
-    if bad is not None:
-        raise DisconnectedGraphError(bad)
+    _require_connected(g)
     table = r_degree_table(g)
     print("vertex deg sum_deg mult_deg r")
-    rows = zip(g.degrees, table.sum_degrees, table.mult_degrees,
-               table.r_degrees)
-    for v, (d, s, p, r) in enumerate(rows):
+    rows = zip(_vertex_names(g), g.degrees, table.sum_degrees,
+               table.mult_degrees, table.r_degrees)
+    for v, d, s, p, r in rows:
         print(f"{v} {d} {s} {p} {r}")
     return 0
 

@@ -10,12 +10,13 @@ first read.
 
 The paper derives its closed forms by vertex class: vertices whose
 neighbours have the same degrees have the same r. The table uses this
-for runs of consecutive vertices. Each vertex's neighbour degrees are
-gathered into a list, and a list equal to the previous vertex's reuses
-that vertex's (sum, product). K_n thus costs one (n-1)-factor product
-per graph, not n. C_n, a path's interior, a wheel's rim and each side
-of K_{p,q} likewise cost one product each when their vertices are
-numbered consecutively.
+twice. In a k-regular graph every vertex has S = k^2 and M = k^k, so
+the table of K_n or C_n is r = k^2 + k^k repeated, found with one count
+over the degree tuple and no neighbour degree read. Otherwise each
+vertex's neighbour degrees are gathered into a list, and a list equal
+to the previous vertex's reuses that vertex's (sum, product): a path's
+interior, a wheel's rim and each side of K_{p,q} cost one product each
+when their vertices are numbered consecutively.
 """
 
 import math
@@ -97,5 +98,11 @@ def r_degree(g, v):
 
 def r_degree_table(g):
     """The degree table of g, with the R degree of every vertex, in id
-    order, computed now; see RDegreeTable."""
+    order, computed now; see RDegreeTable. A k-regular g takes no
+    neighbour degree: each of its vertices has r = k^2 + k^k."""
+    degrees = g.degrees
+    n = len(degrees)
+    if n and degrees.count(degrees[0]) == n:
+        k = degrees[0]
+        return RDegreeTable(g, (k * k + k ** k,) * n)
     return RDegreeTable(g, tuple(starmap(add, _table_sums_and_mults(g))))

@@ -28,11 +28,11 @@ class OrderTooLargeError(GraphError):
 class DisconnectedGraphError(GraphError):
     """An index was requested for a graph that is not connected."""
 
-    def __init__(self, unreachable_vertex):
+    def __init__(self, unreachable_vertex, root=0):
         self.unreachable_vertex = unreachable_vertex
         super().__init__(
             f"graph is not connected: vertex {unreachable_vertex} "
-            "is unreachable from vertex 0"
+            f"is unreachable from vertex {root}"
         )
 
 

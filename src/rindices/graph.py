@@ -21,6 +21,7 @@ from enum import Enum
 from itertools import chain, islice
 
 from .errors import (
+    DisconnectedGraphError,
     DuplicateEdgeError,
     EdgeListSyntaxError,
     Graph6Error,
@@ -67,9 +68,14 @@ class Graph:
     that _sorted_adjacency built and checked, with or without a header).
     Both Graph(n, edges) and parse_edge_list build through
     _sorted_adjacency, which alone finds and raises a graph fault.
+
+    A header-less edge list whose ids are not 0..n-1 also keeps its
+    sorted ids, so that output can name vertex v by its id in the file
+    (see _vertex_names); every other graph keeps None. Equality and
+    hashing read only the order and the neighbour tuples.
     """
 
-    __slots__ = ("_n", "_m", "_adjacency", "_degrees")
+    __slots__ = ("_n", "_m", "_adjacency", "_degrees", "_names")
 
     def __init__(self, n, edges):
         """Build a graph from a vertex count and an iterable of edge pairs.
@@ -91,12 +97,15 @@ class Graph:
         self._m = len(edges)
         self._adjacency = tuple(adjacency)
         self._degrees = tuple(map(len, adjacency))
+        self._names = None
 
     @classmethod
-    def _from_sorted_adjacency(cls, n, adjacency):
-        """Graph from n trusted neighbour lists; see the class docstring."""
+    def _from_sorted_adjacency(cls, n, adjacency, names=None):
+        """Graph from n trusted neighbour lists, and the input ids of its
+        vertices or None; see the class docstring."""
         g = cls.__new__(cls)
         g._n = n
+        g._names = names
         g._adjacency = adjacency = tuple(map(tuple, adjacency))
         g._degrees = degrees = tuple(map(len, adjacency))
         g._m = sum(degrees) // 2
@@ -235,6 +244,20 @@ def build_graph(n, edges):
     return Graph(n, edges)
 
 
+def _vertex_names(g):
+    """The id in the input of each vertex of g, indexed by vertex id."""
+    return g._names or range(g.n)
+
+
+def _require_connected(g):
+    """Raise DisconnectedGraphError if a vertex of g is unreachable from
+    vertex 0, naming both vertices by their ids in the input."""
+    bad = first_unreachable_vertex(g)
+    if bad is not None:
+        names = _vertex_names(g)
+        raise DisconnectedGraphError(names[bad], names[0])
+
+
 def is_connected(g):
     """True iff every vertex is reachable from vertex 0 (true for n <= 1)."""
     return first_unreachable_vertex(g) is None
@@ -338,7 +361,8 @@ def parse_edge_list(source):
     plain ASCII decimal digits, without leading zeros: no sign,
     underscore or other digit; an id longer than int() reads is a
     syntax error. Without a header, vertex ids are compacted to a dense
-    0-based range in ascending order; a fault still names the file's ids.
+    0-based range in ascending order; a fault, a disconnected-graph error
+    and each `rdegrees` row still name the file's ids.
 
     The input is read in blocks of about 16 Ki characters, each cut just
     after a line break, so a file's text is never held whole. A block of
@@ -371,7 +395,9 @@ def parse_edge_list(source):
     else:
         names, again = range(n), lambda: _edge_pairs(source, start)
     adjacency = _sorted_adjacency(n, items, again, names)
-    return Graph._from_sorted_adjacency(n, adjacency)
+    # Ids already 0..n-1 name themselves, and keep no list.
+    return Graph._from_sorted_adjacency(
+        n, adjacency, names if n and names[-1] != n - 1 else None)
 
 
 def _edge_pairs(source, start):

@@ -13,8 +13,8 @@ Zagreb2. R2's sum is thus written twice, on purpose: a full_report made
 of the R pass and a separate classical pass ran `batch` 7.5% slower.
 Both read only the R degrees r(v) of the degree table, which takes one
 neighbour-degree product per run of vertices with equal neighbour
-degrees: one per graph on K_n (see degrees). The exact R indices are
-grouped by vertex, so each costs n big-integer products, plus m big
+degrees, and none on a regular graph (see degrees). The exact R indices
+are grouped by vertex, so each costs n big-integer products, plus m big
 additions for R2, instead of one big product per edge:
 
   R1 = sum_v r(v)^2            R3 = sum_v deg(v) r(v)
@@ -22,7 +22,10 @@ additions for R2, instead of one big product per edge:
   Zagreb1 = sum_v deg(v)^2
   Zagreb2 = sum_u deg(u) * sum_{w in N(u), w > u} deg(w)
 
-so Zagreb2 needs no sum degrees. R1, R3 and Zagreb1 are summed at C
+so Zagreb2 needs no sum degrees. When every vertex has one R degree r,
+as on K_n and C_n, the R pass skips the edge walk: R1 = n r^2,
+R2 = m r^2 and R3 = 2m r. full_report keeps its one edge pass, which
+its real-valued sums need. R1, R3 and Zagreb1 are summed at C
 level, as sum(map(mul, ...)); the R2 upper sums stay Python loops, which
 ran faster on K_n than a map or a list comprehension. The five
 real-valued edge terms depend only on the degree pair of the edge, so
@@ -40,8 +43,8 @@ from collections import namedtuple
 from operator import mul
 
 from .degrees import r_degree_table
-from .errors import DisconnectedGraphError, OrderTooSmallError
-from .graph import first_unreachable_vertex
+from .errors import OrderTooSmallError
+from .graph import _require_connected
 
 
 class IndexReport(namedtuple(
@@ -56,15 +59,17 @@ class IndexReport(namedtuple(
 def _require_valid(g):
     if g.n < 2:
         raise OrderTooSmallError(f"indices require n >= 2, got n={g.n}")
-    bad = first_unreachable_vertex(g)
-    if bad is not None:
-        raise DisconnectedGraphError(bad)
+    _require_connected(g)
 
 
 def _r_indices(g):
     """(R1, R2, R3) of g, with no classical index computed."""
     _require_valid(g)
     r = r_degree_table(g).r_degrees
+    n = len(r)
+    if r.count(r[0]) == n:
+        m, r0 = g.m, r[0]
+        return n * r0 * r0, m * r0 * r0, 2 * m * r0
     r2 = 0
     for u, nbrs in enumerate(g.adjacency):
         r_upper = 0

@@ -113,6 +113,16 @@ class TestCompute:
         assert (result.returncode, result.stdout, result.stderr) == \
             (2, "", "error: edge (4, 7) appears more than once\n")
 
+    def test_headerless_disconnected_names_file_ids(self, tmp_path):
+        # Neither rank, 2 or 0, is an id of the file.
+        path = tmp_path / "two.edges"
+        path.write_text("10 20\n30 40\n")
+        for command in ("compute", "rdegrees"):
+            result = run_cli(command, str(path))
+            assert (result.returncode, result.stdout, result.stderr) == (
+                3, "", "error: graph is not connected: vertex 30 is "
+                       "unreachable from vertex 10\n")
+
     def test_order_too_large_exit_2(self, tmp_path):
         path = tmp_path / "huge.edges"
         path.write_text("n 1000000000000\n0 1\n")
@@ -331,6 +341,14 @@ class TestRDegrees:
         rows = [r.split() for r in result.stdout.strip().split("\n")[1:]]
         assert rows[0][2:] == ["3", "1", "4"]
         assert all(r[4] == "6" for r in rows[1:])
+
+    def test_headerless_rows_name_file_ids(self, tmp_path):
+        path = tmp_path / "p3.edges"
+        path.write_text("10 20\n20 30\n")
+        result = run_cli("rdegrees", str(path))
+        assert (result.returncode, result.stdout) == (
+            0, "vertex deg sum_deg mult_deg r\n"
+               "10 1 2 2 4\n20 2 2 1 3\n30 1 2 2 4\n")
 
     def test_closed_stdout_pipe_exits_141_quietly(self, tmp_path):
         # A reader that stops after one line, as `| head -1` does. The

@@ -19,11 +19,12 @@ from rindices import (
     r1_index,
     r2_index,
     r3_index,
+    r_degree_table,
     report_summary,
     report_to_csv,
     verify_family,
 )
-from rindices import families
+from rindices import families, indices
 from rindices.families import variants_for
 
 
@@ -137,6 +138,21 @@ class TestVerifyFamily:
         report = verify_family(Family.PATH, range(1, 6))
         assert orders == [3, 4, 5]
         assert sorted({row.n for row in report.rows}) == [3, 4, 5]
+
+    def test_one_r_degree_table_per_order(self, monkeypatch):
+        # The three claims of an order read one table, so the verifier's
+        # R degrees are all computed, and timed, in r_degree_table.
+        orders = []
+
+        def counting(g):
+            orders.append(g.n)
+            return r_degree_table(g)
+
+        monkeypatch.setattr(indices, "r_degree_table", counting)
+        for family in Family:
+            orders.clear()
+            verify_family(family, range(1, 12))
+            assert orders == list(range(3, 12))
 
     def test_cycle_row_count(self):
         # one source per index for cycles

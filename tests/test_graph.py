@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rindices import (
+    DisconnectedGraphError,
     DuplicateEdgeError,
     EdgeListSyntaxError,
     Family,
@@ -396,6 +397,24 @@ class TestEdgeListParser:
     def test_sparse_ids_compacted(self):
         assert parse_edge_list("10 20\n20 30\n") == \
             build_graph(3, [(0, 1), (1, 2)])
+
+    def test_sparse_ids_kept_as_names(self):
+        # The file's ids name the vertices in output, but neither equality
+        # nor the hash reads them. Ids that are already 0..n-1 keep none.
+        g = parse_edge_list("10 20\n20 30\n")
+        dense = parse_edge_list("0 1\n1 2\n")
+        assert g == dense and hash(g) == hash(dense)
+        assert graph._vertex_names(g) == [10, 20, 30]
+        for h in (dense, parse_edge_list("n 3\n0 1\n1 2\n"),
+                  generate_family(Family.PATH, 3)):
+            assert h._names is None and graph._vertex_names(h) == range(3)
+
+    def test_headerless_disconnected_names_file_ids(self):
+        with pytest.raises(DisconnectedGraphError) as info:
+            graph._require_connected(parse_edge_list("10 20\n30 40\n"))
+        assert str(info.value) == ("graph is not connected: vertex 30 is "
+                                   "unreachable from vertex 10")
+        assert info.value.unreachable_vertex == 30
 
     # Without a header the ids are compacted, but a fault names the ids
     # the file holds, so that its line can be found.

@@ -3,6 +3,7 @@
 import math
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from rindices import (
     generate_family,
     generate_random_connected,
     h_index,
+    parse_edge_list,
     r1_index,
     r2_index,
     r3_index,
@@ -234,6 +236,60 @@ class TestClosedFormsPastThePaper:
                                 (n - 1) * (hub + 3 * rim))
 
 
+# k-regular graphs past the paper's cycles and complete graphs.
+REGULAR_GRAPHS = {
+    "petersen": nx.petersen_graph,
+    "dodecahedral": nx.dodecahedral_graph,
+    "hypercube-q4": lambda: nx.hypercube_graph(4),
+    "circulant-c12-1-3": lambda: nx.circulant_graph(12, [1, 3]),
+    "k5-5": lambda: nx.complete_bipartite_graph(5, 5),
+    "random-3-16": lambda: nx.random_regular_graph(3, 16, seed=1),
+    "random-4-25": lambda: nx.random_regular_graph(4, 25, seed=2),
+    "random-7-30": lambda: nx.random_regular_graph(7, 30, seed=3),
+}
+
+
+def from_networkx(h, seed):
+    """The Graph of a networkx graph, its vertices numbered by a seeded
+    permutation, so that vertices with equal neighbour-degree lists are
+    seldom consecutive."""
+    perm = list(range(len(h)))
+    random.Random(seed).shuffle(perm)
+    index = dict(zip(h, perm))
+    return build_graph(len(h), [(index[u], index[v]) for u, v in h.edges()])
+
+
+def assert_r_values_match_oracle(g):
+    """The R-degree table, the R selectors and full_report agree with the
+    oracle on g."""
+    assert r_degree_table(g).r_degrees == \
+        tuple(oracle.naive_r_value(g, v) for v in range(g.n))
+    expected = oracle.naive_r1(g), oracle.naive_r2(g), oracle.naive_r3(g)
+    assert (r1_index(g), r2_index(g), r3_index(g)) == expected
+    report = full_report(g)
+    assert (report.r1, report.r2, report.r3) == expected
+
+
+class TestRegularGraphs:
+    """Regular graphs, and the same graphs less one edge, whose two ends
+    then have a degree of their own."""
+
+    @pytest.mark.parametrize("name", sorted(REGULAR_GRAPHS))
+    def test_agrees_with_oracle(self, name):
+        g = from_networkx(REGULAR_GRAPHS[name](), seed=len(name))
+        assert len(set(g.degrees)) == 1
+        assert_r_values_match_oracle(g)
+        edges = g.edges()
+        assert_r_values_match_oracle(build_graph(g.n, edges[1:]))
+
+    @pytest.mark.parametrize("text", ["n 3\n", "n 1\n"])
+    def test_no_edges(self, text):
+        # 0-regular: an empty sum and an empty product, r = 0 + 1.
+        g = parse_edge_list(text)
+        assert r_degree_table(g).r_degrees == (1,) * g.n == \
+            tuple(oracle.naive_r_value(g, v) for v in range(g.n))
+
+
 class TestIndexReport:
     FIELDS = ["n", "m", "r1", "r2", "r3", "abc", "ga", "h", "chi",
               "zagreb1", "zagreb2", "randic"]
@@ -292,12 +348,13 @@ class TestProperties:
 
     @pytest.mark.parametrize("n", range(3, 15))
     def test_vertex_transitive_collapse(self, n):
+        # Every vertex of C_n and K_n has one R degree, from which the R
+        # pass takes R1-R3; the oracle sums them vertex by vertex and
+        # edge by edge.
         for family in (Family.CYCLE, Family.COMPLETE):
             g = generate_family(family, n)
-            r = r_degree_table(g).r_degrees[0]
-            assert r1_index(g) == n * r * r
-            assert r2_index(g) == g.m * r * r
-            assert r3_index(g) == 2 * g.m * r
+            assert (r1_index(g), r2_index(g), r3_index(g)) == \
+                (oracle.naive_r1(g), oracle.naive_r2(g), oracle.naive_r3(g))
 
     @given(st.integers(min_value=2, max_value=25), st.integers())
     @settings(max_examples=40, deadline=None)
