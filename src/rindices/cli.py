@@ -13,11 +13,22 @@ per input line, with failures isolated per line. The chunks are indexed
 in this process with --jobs 1, else in a pool of up to --jobs worker
 processes, capped at the CPU count; they are written in input order, so
 the CSV is the same bytes for every --jobs value.
+
+compute, rdegrees and generate each build one whole graph, and run with
+the cyclic garbage collector paused. Its passes over the graph's many
+tuples would find nothing to free: a graph, its degree table and its
+report are built up from ints and floats, and none of their objects
+refers back to one that holds it, so they form no reference cycle and
+reference counting frees them all (the tests check that the cyclic
+garbage these commands leave does not grow with the input). The
+collector's state is restored on every exit. batch and verify keep it
+running, as pausing it there gained nothing measurable.
 """
 
 import argparse
 import contextlib
 import csv
+import gc
 import io
 import os
 import sys
@@ -138,6 +149,20 @@ def _parse_jobs(text):
     return jobs
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Run the block with the cyclic garbage collector disabled, then give
+    it back the state it had, whatever way the block exits."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_collector_paused()
 def cmd_compute(args):
     report = full_report(_load_graph(args.path, args.format))
     print(f"n={report.n} m={report.m}")
@@ -146,6 +171,7 @@ def cmd_compute(args):
     return 0
 
 
+@_collector_paused()
 def cmd_rdegrees(args):
     g = _load_graph(args.path, args.format)
     _require_connected(g)
@@ -158,6 +184,7 @@ def cmd_rdegrees(args):
     return 0
 
 
+@_collector_paused()
 def cmd_generate(args):
     g = generate_family(args.family, args.n)
     fmt = args.format or "edgelist"

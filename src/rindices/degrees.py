@@ -11,8 +11,9 @@ first read.
 The paper derives its closed forms by vertex class: vertices whose
 neighbours have the same degrees have the same r. The table uses this
 twice. In a k-regular graph every vertex has S = k^2 and M = k^k, so
-the table of K_n or C_n is r = k^2 + k^k repeated, found with one count
-over the degree tuple and no neighbour degree read. Otherwise each
+the table of K_n or C_n is r = k^2 + k^k repeated, with sums k^2: one
+count over the degree tuple finds it, and neither it nor its sum and
+product columns read a neighbour degree. Otherwise each
 vertex's neighbour degrees are gathered into a list, and a list equal
 to the previous vertex's reuses that vertex's (sum, product): a path's
 interior, a wheel's rim and each side of K_{p,q} cost one product each
@@ -32,7 +33,8 @@ class RDegreeTable:
 
     r_degrees is computed when r_degree_table makes the table, and is all
     that the index report reads. sum_degrees and mult_degrees are cached
-    properties: the sums are derived from the graph on first access, and
+    properties: the sums are derived from the graph on first access,
+    unless r_degree_table set them (k^2 each on a k-regular graph), and
     the products as r_degrees minus the sums, which is exact.
     """
 
@@ -99,10 +101,13 @@ def r_degree(g, v):
 def r_degree_table(g):
     """The degree table of g, with the R degree of every vertex, in id
     order, computed now; see RDegreeTable. A k-regular g takes no
-    neighbour degree: each of its vertices has r = k^2 + k^k."""
+    neighbour degree: each of its vertices has S = k^2 and
+    r = k^2 + k^k."""
     degrees = g.degrees
     n = len(degrees)
     if n and degrees.count(degrees[0]) == n:
         k = degrees[0]
-        return RDegreeTable(g, (k * k + k ** k,) * n)
+        table = RDegreeTable(g, (k * k + k ** k,) * n)
+        table.sum_degrees = (k * k,) * n
+        return table
     return RDegreeTable(g, tuple(starmap(add, _table_sums_and_mults(g))))

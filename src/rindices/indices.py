@@ -24,10 +24,13 @@ additions for R2, instead of one big product per edge:
 
 so Zagreb2 needs no sum degrees. When every vertex has one R degree r,
 as on K_n and C_n, the R pass skips the edge walk: R1 = n r^2,
-R2 = m r^2 and R3 = 2m r. full_report keeps its one edge pass, which
-its real-valued sums need. R1, R3 and Zagreb1 are summed at C
-level, as sum(map(mul, ...)); the R2 upper sums stay Python loops, which
-ran faster on K_n than a map or a list comprehension. The five
+R2 = m r^2 and R3 = 2m r. full_report skips it on a k-regular graph,
+with the same forms and Zagreb1 = n k^2, Zagreb2 = m k^2; every edge
+there has the real terms of the degree pair (k, k), and it adds them m
+times over without reading the adjacency, which gives the bits of the
+edge walk. R1, R3 and Zagreb1 are summed at C level, as
+sum(map(mul, ...)); the R2 upper sums stay Python loops, which ran
+faster on K_n than a map or a list comprehension. The five
 real-valued edge terms depend only on the degree pair of the edge, so
 each pair's terms are evaluated once and kept in a bounded per-process
 cache (the edge-partition view of degree-based indices). Float
@@ -62,14 +65,19 @@ def _require_valid(g):
     _require_connected(g)
 
 
+def _regular_r_indices(n, m, r):
+    """(R1, R2, R3) of a graph of n vertices and m edges whose every
+    vertex has R degree r."""
+    return n * r * r, m * r * r, 2 * m * r
+
+
 def _r_indices(g):
     """(R1, R2, R3) of g, with no classical index computed."""
     _require_valid(g)
     r = r_degree_table(g).r_degrees
     n = len(r)
     if r.count(r[0]) == n:
-        m, r0 = g.m, r[0]
-        return n * r0 * r0, m * r0 * r0, 2 * m * r0
+        return _regular_r_indices(n, g.m, r[0])
     r2 = 0
     for u, nbrs in enumerate(g.adjacency):
         r_upper = 0
@@ -132,11 +140,33 @@ def _edge_terms(du, dv):
             1.0 / math.sqrt(s), 1.0 / math.sqrt(p))
 
 
+def _regular_report(n, m, k, r):
+    """The IndexReport of a connected k-regular graph of n vertices and m
+    edges, whose every vertex has R degree r, without its edges: every
+    edge has the terms of the degree pair (k, k). They are added m times
+    over, so that the sums have the bits of the edge walk; not with sum(),
+    which compensates float sums from Python 3.12 on."""
+    t_abc, t_ga, t_h, t_chi, t_randic = _edge_terms(k, k)
+    abc = ga = h = chi = randic = 0.0
+    for _ in range(m):
+        abc += t_abc
+        ga += t_ga
+        h += t_h
+        chi += t_chi
+        randic += t_randic
+    r1, r2, r3 = _regular_r_indices(n, m, r)
+    return IndexReport(n=n, m=m, r1=r1, r2=r2, r3=r3,
+                       abc=abc, ga=ga, h=h, chi=chi,
+                       zagreb1=n * k * k, zagreb2=m * k * k, randic=randic)
+
+
 def full_report(g):
     """All indices of one graph, with R degrees computed once and shared."""
     _require_valid(g)
     deg = g.degrees
     r = r_degree_table(g).r_degrees
+    if deg.count(deg[0]) == g.n:
+        return _regular_report(g.n, g.m, deg[0], r[0])
     r2 = 0
     zagreb2 = 0
     abc = 0.0

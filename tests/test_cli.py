@@ -6,6 +6,7 @@ process only where the process itself is under test, and says why.
 
 import concurrent.futures
 import contextlib
+import gc
 import io
 import os
 import random
@@ -16,7 +17,7 @@ import tracemalloc
 
 import pytest
 
-from rindices import cli
+from rindices import cli, families
 from rindices import (
     Family,
     generate_family,
@@ -413,6 +414,93 @@ class TestGenerate:
                 expected = generate_family(family, n)
                 assert g == expected
                 assert full_report(g) == full_report(expected)
+
+
+@pytest.fixture
+def collector_seen(monkeypatch):
+    """gc.isenabled() as each command's main callee found it: full_report
+    for compute and batch, r_degree_table for rdegrees, generate_family
+    for generate and verify_family for verify."""
+    seen = []
+
+    def spy(fn):
+        def wrapper(*args):
+            seen.append(gc.isenabled())
+            return fn(*args)
+        return wrapper
+
+    for module, name in ((cli, "full_report"), (cli, "r_degree_table"),
+                         (cli, "generate_family"),
+                         (families, "verify_family")):
+        monkeypatch.setattr(module, name, spy(getattr(module, name)))
+    return seen
+
+
+@contextlib.contextmanager
+def collector_state(enabled):
+    """The block runs with the cyclic collector enabled or not, and the
+    collector is enabled after it."""
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+class TestCollectorPaused:
+    """compute, rdegrees and generate run with the cyclic collector
+    paused; batch and verify keep it running."""
+
+    @pytest.mark.parametrize("argv, running", [
+        (["compute", "{edges}"], False),
+        (["rdegrees", "{edges}"], False),
+        (["generate", "cycle", "5"], False),
+        (["batch", "{corpus}"], True),
+        (["verify", "cycle", "--n-range", "3..4"], True),
+    ])
+    def test_paused_only_in_single_graph_commands(self, argv, running,
+                                                  collector_seen, tmp_path):
+        edges = tmp_path / "p3.el"
+        edges.write_text("0 1\n1 2\n")
+        corpus = tmp_path / "corpus.g6"
+        corpus.write_text("Bw\nA_\n")
+        argv = [a.format(edges=edges, corpus=corpus) for a in argv]
+        with collector_state(True):
+            assert run_cli(*argv).returncode == 0
+            assert set(collector_seen) == {running}
+            assert gc.isenabled()
+
+    @pytest.mark.parametrize("command", ["compute", "rdegrees"])
+    @pytest.mark.parametrize("text, code", [
+        ("0 1\n1 2\n", 0), ("0 x\n", 2), ("0 1\n2 3\n", 3)])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_restored_on_every_exit(self, command, text, code,
+                                          enabled, tmp_path):
+        path = tmp_path / "g.el"
+        path.write_text(text)
+        with collector_state(enabled):
+            assert run_cli(command, str(path)).returncode == code
+            assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("command", ["compute", "rdegrees", "generate"])
+    def test_no_cyclic_garbage_grows_with_the_input(self, command,
+                                                    tmp_path):
+        # What makes the pause safe: the cyclic garbage a command leaves,
+        # which only the collector could free, does not depend on n.
+        def garbage(n):
+            path = tmp_path / f"p{n}.el"
+            path.write_text(write_edge_list(generate_family(Family.PATH, n)))
+            argv = ["generate", "path", str(n), "--out", str(path)] \
+                if command == "generate" else [command, str(path)]
+            gc.collect()
+            with collector_state(False):
+                assert run_cli(*argv).returncode == 0
+            return gc.collect()
+
+        assert garbage(1000) == garbage(10000)
 
 
 class TestVerify:

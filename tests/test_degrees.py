@@ -127,6 +127,22 @@ class TestInvariants:
         assert set(table.mult_degrees) == {k ** k}
         assert set(table.r_degrees) == {k * k + k ** k}
 
+    @pytest.mark.parametrize("family", [Family.CYCLE, Family.COMPLETE])
+    @pytest.mark.parametrize("n", [3, 4, 9, 40])
+    def test_regular_table_gathers_no_neighbour_degree(self, family, n,
+                                                       monkeypatch):
+        # A k-regular table holds S = k^2 for each vertex, so its sum and
+        # product columns read no neighbour degree either.
+        g = generate_family(family, n)
+        expected = [(sum_degree(g, v), mult_degree(g, v)) for v in range(n)]
+
+        def gather(_):
+            raise AssertionError("neighbour degrees gathered")
+
+        monkeypatch.setattr("rindices.degrees._table_sums_and_mults", gather)
+        table = r_degree_table(g)
+        assert list(zip(table.sum_degrees, table.mult_degrees)) == expected
+
     @given(st.integers(min_value=2, max_value=25), st.integers())
     @settings(max_examples=50, deadline=None)
     def test_relabeling_permutes_table(self, n, seed):

@@ -259,15 +259,35 @@ def from_networkx(h, seed):
     return build_graph(len(h), [(index[u], index[v]) for u, v in h.edges()])
 
 
+def sorted_edge_sums(g):
+    """(abc, ga, h, chi, randic) of g, each its per-edge terms summed over
+    the sorted edges."""
+    abc = ga = h = chi = randic = 0.0
+    for u, v in sorted(g.edges()):
+        s = g.degree(u) + g.degree(v)
+        prod = g.degree(u) * g.degree(v)
+        abc += math.sqrt((s - 2) / prod)
+        ga += 2.0 * math.sqrt(prod) / s
+        h += 2.0 / s
+        chi += 1.0 / math.sqrt(s)
+        randic += 1.0 / math.sqrt(prod)
+    return abc, ga, h, chi, randic
+
+
 def assert_r_values_match_oracle(g):
     """The R-degree table, the R selectors and full_report agree with the
-    oracle on g."""
+    oracle on g: R1-R3 and the Zagreb indices exactly, and the real
+    indices bit for bit with their per-edge sums in sorted order."""
     assert r_degree_table(g).r_degrees == \
         tuple(oracle.naive_r_value(g, v) for v in range(g.n))
     expected = oracle.naive_r1(g), oracle.naive_r2(g), oracle.naive_r3(g)
     assert (r1_index(g), r2_index(g), r3_index(g)) == expected
     report = full_report(g)
     assert (report.r1, report.r2, report.r3) == expected
+    assert (report.abc, report.ga, report.h, report.chi,
+            report.randic) == sorted_edge_sums(g)
+    assert (report.zagreb1, report.zagreb2) == \
+        (oracle.naive_zagreb1(g), oracle.naive_zagreb2(g))
 
 
 class TestRegularGraphs:
@@ -348,13 +368,12 @@ class TestProperties:
 
     @pytest.mark.parametrize("n", range(3, 15))
     def test_vertex_transitive_collapse(self, n):
-        # Every vertex of C_n and K_n has one R degree, from which the R
-        # pass takes R1-R3; the oracle sums them vertex by vertex and
-        # edge by edge.
+        # Every vertex of C_n and K_n has one degree and one R degree, from
+        # which the R pass and full_report take every index without the
+        # edge walk; the oracle sums them vertex by vertex and edge by
+        # edge.
         for family in (Family.CYCLE, Family.COMPLETE):
-            g = generate_family(family, n)
-            assert (r1_index(g), r2_index(g), r3_index(g)) == \
-                (oracle.naive_r1(g), oracle.naive_r2(g), oracle.naive_r3(g))
+            assert_r_values_match_oracle(generate_family(family, n))
 
     @given(st.integers(min_value=2, max_value=25), st.integers())
     @settings(max_examples=40, deadline=None)
@@ -400,19 +419,11 @@ class TestProperties:
         """The per-degree-pair term cache changes no bit: each real index
         equals, exactly, its per-edge terms summed over the sorted edges."""
         g = generate_random_connected(n, p, seed)
-        abc = ga = h = chi = randic = 0.0
-        for u, v in sorted(g.edges()):
-            s = g.degree(u) + g.degree(v)
-            prod = g.degree(u) * g.degree(v)
-            abc += math.sqrt((s - 2) / prod)
-            ga += 2.0 * math.sqrt(prod) / s
-            h += 2.0 / s
-            chi += 1.0 / math.sqrt(s)
-            randic += 1.0 / math.sqrt(prod)
+        expected = sorted_edge_sums(g)
         _edge_terms.cache_clear()
         cold = full_report(g)
         warm = full_report(g)
         for report in (cold, warm):
             assert (report.abc, report.ga, report.h, report.chi,
-                    report.randic) == (abc, ga, h, chi, randic)
+                    report.randic) == expected
         assert _edge_terms.cache_info().maxsize is not None
