@@ -40,12 +40,12 @@ from .errors import DisconnectedGraphError, GraphError
 from .graph import (
     _G6_HEADER,
     Family,
+    _edge_list_lines,
     _require_connected,
     _vertex_names,
     generate_family,
     parse_edge_list,
     parse_graph6,
-    write_edge_list,
     write_graph6,
 )
 from .indices import IndexReport, full_report
@@ -187,10 +187,10 @@ def cmd_rdegrees(args):
 @_collector_paused()
 def cmd_generate(args):
     g = generate_family(args.family, args.n)
-    fmt = args.format or "edgelist"
-    text = write_graph6(g) + "\n" if fmt == "graph6" else write_edge_list(g)
+    lines = [write_graph6(g) + "\n"] if args.format == "graph6" \
+        else _edge_list_lines(g)
     with _open_out(args.out) as out:
-        out.write(text)
+        out.writelines(lines)
     return 0
 
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .errors import OrderBelowValidityError
 from .graph import Family, generate_family
-from .indices import _r_indices
+from .indices import full_report
 
 # Every recorded claim is stated for n >= 3.
 MIN_CLAIM_ORDER = 3
@@ -152,9 +152,9 @@ def verify_family(family, n_range):
     """Compare every recorded claim for a family against direct computation.
 
     n_range is an iterable of orders. The graph of each order is built
-    once and its R indices, the only values a claim reads, are shared by
-    every claim at that order; orders below MIN_CLAIM_ORDER are skipped.
-    Rows are sorted by (index, n, source).
+    once and its full_report, whose R indices are the only values a claim
+    reads, is shared by every claim at that order; orders below
+    MIN_CLAIM_ORDER are skipped. Rows are sorted by (index, n, source).
     """
     family = Family(family)
     variants = variants_for(family)
@@ -162,7 +162,7 @@ def verify_family(family, n_range):
     for n in sorted(set(n_range)):
         if n < MIN_CLAIM_ORDER:
             continue
-        computed = dict(zip(RIndex, _r_indices(generate_family(family, n))))
+        report = full_report(generate_family(family, n))
         for variant in variants:
             rows.append(DiscrepancyRow(
                 family=family,
@@ -170,7 +170,7 @@ def verify_family(family, n_range):
                 n=n,
                 source=variant.source,
                 claimed=variant.evaluate(n),
-                computed=computed[variant.index],
+                computed=getattr(report, variant.index.value),
             ))
     rank = {source: i for i, source in enumerate(Source)}
     rows.sort(key=lambda r: (r.index.value, r.n, rank[r.source]))

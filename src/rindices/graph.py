@@ -16,6 +16,7 @@ required at construction time; index computations check it themselves.
 
 import re
 import sys
+from bisect import bisect_left, bisect_right
 from collections import deque
 from enum import Enum
 from itertools import chain, islice
@@ -523,11 +524,18 @@ def _declared_order(lineno, tokens):
     return int(order)
 
 
+def _edge_list_lines(g):
+    """The lines of g in the edge-list format, each with its line break:
+    the order header, then one line per edge, read from the adjacency."""
+    yield f"n {g.n}\n"
+    for u, nbrs in enumerate(g.adjacency):
+        for v in nbrs[bisect_right(nbrs, u):]:
+            yield f"{u} {v}\n"
+
+
 def write_edge_list(g):
     """Render a graph in the edge-list format with an explicit order header."""
-    lines = [f"n {g.n}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    return "".join(_edge_list_lines(g))
 
 
 _G6_HEADER = ">>graph6<<"
@@ -625,7 +633,11 @@ def write_graph6(g):
     """Encode a graph as a graph6 string."""
     n = g.n
     groups = bytearray((n * (n - 1) // 2 + 5) // 6)
-    for u, v in g.edges():
-        k = v * (v - 1) // 2 + u
-        groups[k // 6] |= 32 >> k % 6
+    # Bit k of the pair (u, v), u < v, is v(v-1)/2 + u: walk each vertex's
+    # lower neighbours, a prefix of its sorted tuple.
+    for v, nbrs in enumerate(g.adjacency):
+        first = v * (v - 1) // 2
+        for u in nbrs[:bisect_left(nbrs, v)]:
+            k = first + u
+            groups[k // 6] |= 32 >> k % 6
     return _graph6_order(n) + groups.translate(_G6_CHARS).decode("ascii")

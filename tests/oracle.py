@@ -2,7 +2,10 @@
 
 Deliberately written against the raw adjacency structure with no shared
 degree table and no reuse of the package's index code: each quantity is
-recomputed from scratch at every use site.
+recomputed from scratch at every use site. Each real term is built from
+division and math.sqrt only, which IEEE 754 rounds correctly (x ** -0.5
+would go through the C library's pow), and each real sum is a math.fsum,
+so every platform gives the same bits.
 """
 
 import math
@@ -63,7 +66,16 @@ def naive_h(g):
 def naive_chi(g):
     terms = []
     for u, v in g.edges():
-        terms.append((len(g.neighbors(u)) + len(g.neighbors(v))) ** -0.5)
+        s = len(g.neighbors(u)) + len(g.neighbors(v))
+        terms.append(1 / math.sqrt(s))
+    return math.fsum(terms)
+
+
+def naive_randic(g):
+    terms = []
+    for u, v in g.edges():
+        p = len(g.neighbors(u)) * len(g.neighbors(v))
+        terms.append(1 / math.sqrt(p))
     return math.fsum(terms)
 
 

@@ -415,6 +415,28 @@ class TestGenerate:
                 assert g == expected
                 assert full_report(g) == full_report(expected)
 
+    @pytest.mark.parametrize("fmt", ["edgelist", "graph6"])
+    def test_writer_peaks_under_2_mb_above_the_graph(self, fmt, tmp_path):
+        # Neither writer holds the edge pairs or a list of the lines of
+        # K_600, whose 179,700 edges would take over 10 MB either way.
+        def peak(run):
+            tracemalloc.start()
+            try:
+                return run(), tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+
+        g, (graph_bytes, _) = peak(
+            lambda: generate_family(Family.COMPLETE, 600))
+        out = tmp_path / f"k600.{fmt}"
+        code, (_, command_peak) = peak(lambda: cli.main(
+            ["generate", "complete", "600", "--format", fmt,
+             "--out", str(out)]))
+        assert code == 0
+        assert command_peak < graph_bytes + 2_000_000
+        assert out.read_text() == (write_graph6(g) + "\n" if fmt == "graph6"
+                                   else write_edge_list(g))
+
 
 @pytest.fixture
 def collector_seen(monkeypatch):

@@ -29,10 +29,9 @@ from rindices import (
     r2_index,
     r3_index,
     r_degree_table,
-    verify_family,
 )
 from rindices.families import variants_for
-from rindices.indices import _edge_terms, _r_indices
+from rindices.indices import _edge_terms
 from util import relabel
 
 REL_TOL = 1e-9
@@ -175,22 +174,30 @@ class TestFullReport:
         assert report.r1 == r1_index(g)
         assert report.r2 == r2_index(g)
         assert report.r3 == r3_index(g)
-        assert report.abc == pytest.approx(abc_index(g), rel=1e-12)
-        assert report.ga == pytest.approx(ga_index(g), rel=1e-12)
-        assert report.h == pytest.approx(h_index(g), rel=1e-12)
-        assert report.chi == pytest.approx(chi_index(g), rel=1e-12)
-        z1, z2, randic = classical_extras(g)
+        assert report.abc == abc_index(g)
+        assert report.ga == ga_index(g)
+        assert report.h == h_index(g)
+        assert report.chi == chi_index(g)
         assert (report.zagreb1, report.zagreb2, report.randic) == \
-            pytest.approx((z1, z2, randic), rel=1e-12)
+            classical_extras(g)
 
-    def test_r_selectors_and_verifier_skip_the_classical_pass(self):
-        # No edge term is looked up when only R1-R3 are read.
+    @pytest.mark.parametrize("g", [
+        generate_family(Family.COMPLETE, 30),
+        generate_family(Family.CYCLE, 30),
+        build_graph(10, list(nx.petersen_graph().edges())),
+    ], ids=["complete-30", "cycle-30", "petersen"])
+    def test_regular_graph_walks_no_edge(self, g):
+        # One lookup of the degree pair (k, k) stands for all m edges.
         _edge_terms.cache_clear()
-        verify_family(Family.COMPLETE, range(3, 31))
-        g = generate_random_connected(30, 0.3, seed=5)
-        r1_index(g), r2_index(g), r3_index(g)
+        full_report(g)
         info = _edge_terms.cache_info()
-        assert (info.hits, info.misses) == (0, 0)
+        assert (info.hits, info.misses) == (0, 1)
+
+    def test_term_past_128_fraction_bits_raises(self):
+        # A Randic term near 2**-80 has bits down to 2**-132; it is not
+        # rounded into the fixed-point sum.
+        with pytest.raises(ArithmeticError, match="128 fraction bits"):
+            _edge_terms(3 << 78, 1 << 80)
 
 
 
@@ -213,7 +220,7 @@ class TestClosedFormsPastThePaper:
     def assert_indices(self, g, r1, r2, r3):
         report = full_report(g)
         assert (report.r1, report.r2, report.r3) == (r1, r2, r3)
-        assert _r_indices(g) == (r1, r2, r3)
+        assert (r1_index(g), r2_index(g), r3_index(g)) == (r1, r2, r3)
 
     @pytest.mark.parametrize("p", range(1, 13))
     def test_complete_bipartite(self, p):
@@ -259,25 +266,22 @@ def from_networkx(h, seed):
     return build_graph(len(h), [(index[u], index[v]) for u, v in h.edges()])
 
 
-def sorted_edge_sums(g):
-    """(abc, ga, h, chi, randic) of g, each its per-edge terms summed over
-    the sorted edges."""
-    abc = ga = h = chi = randic = 0.0
-    for u, v in sorted(g.edges()):
+def edge_term_fsums(g):
+    """(abc, ga, h, chi, randic) of g, each the correctly rounded sum of
+    its per-edge terms."""
+    terms = []
+    for u, v in g.edges():
         s = g.degree(u) + g.degree(v)
         prod = g.degree(u) * g.degree(v)
-        abc += math.sqrt((s - 2) / prod)
-        ga += 2.0 * math.sqrt(prod) / s
-        h += 2.0 / s
-        chi += 1.0 / math.sqrt(s)
-        randic += 1.0 / math.sqrt(prod)
-    return abc, ga, h, chi, randic
+        terms.append((math.sqrt((s - 2) / prod), 2.0 * math.sqrt(prod) / s,
+                      2.0 / s, 1.0 / math.sqrt(s), 1.0 / math.sqrt(prod)))
+    return tuple(map(math.fsum, zip(*terms)))
 
 
 def assert_r_values_match_oracle(g):
     """The R-degree table, the R selectors and full_report agree with the
     oracle on g: R1-R3 and the Zagreb indices exactly, and the real
-    indices bit for bit with their per-edge sums in sorted order."""
+    indices bit for bit with the fsum of their per-edge terms."""
     assert r_degree_table(g).r_degrees == \
         tuple(oracle.naive_r_value(g, v) for v in range(g.n))
     expected = oracle.naive_r1(g), oracle.naive_r2(g), oracle.naive_r3(g)
@@ -285,7 +289,7 @@ def assert_r_values_match_oracle(g):
     report = full_report(g)
     assert (report.r1, report.r2, report.r3) == expected
     assert (report.abc, report.ga, report.h, report.chi,
-            report.randic) == sorted_edge_sums(g)
+            report.randic) == edge_term_fsums(g)
     assert (report.zagreb1, report.zagreb2) == \
         (oracle.naive_zagreb1(g), oracle.naive_zagreb2(g))
 
@@ -342,7 +346,7 @@ class TestIndexReport:
         assert repr(full_report(generate_family(Family.PATH, 4))) == (
             "IndexReport(n=4, m=3, r1=82, r2=65, r3=28, "
             "abc=2.121320343559643, ga=2.885618083164127, "
-            "h=1.833333333333333, chi=1.6547005383792515, "
+            "h=1.8333333333333333, chi=1.6547005383792517, "
             "zagreb1=10, zagreb2=8, randic=1.914213562373095)")
 
 
@@ -369,9 +373,8 @@ class TestProperties:
     @pytest.mark.parametrize("n", range(3, 15))
     def test_vertex_transitive_collapse(self, n):
         # Every vertex of C_n and K_n has one degree and one R degree, from
-        # which the R pass and full_report take every index without the
-        # edge walk; the oracle sums them vertex by vertex and edge by
-        # edge.
+        # which full_report takes every index without the edge walk; the
+        # oracle sums them vertex by vertex and edge by edge.
         for family in (Family.CYCLE, Family.COMPLETE):
             assert_r_values_match_oracle(generate_family(family, n))
 
@@ -382,11 +385,7 @@ class TestProperties:
         perm = list(range(n))
         random.Random(seed ^ 0x1234).shuffle(perm)
         h = relabel(g, perm)
-        a, b = full_report(g), full_report(h)
-        assert (a.r1, a.r2, a.r3) == (b.r1, b.r2, b.r3)
-        for name in ("abc", "ga", "h", "chi", "zagreb1", "zagreb2", "randic"):
-            assert getattr(a, name) == \
-                pytest.approx(getattr(b, name), rel=1e-12)
+        assert full_report(g) == full_report(h)
 
     @given(st.integers(min_value=2, max_value=35), st.integers())
     @settings(max_examples=80, deadline=None)
@@ -396,30 +395,29 @@ class TestProperties:
         assert report.r1 == oracle.naive_r1(g)
         assert report.r2 == oracle.naive_r2(g)
         assert report.r3 == oracle.naive_r3(g)
-        assert report.abc == pytest.approx(oracle.naive_abc(g), rel=REL_TOL)
-        assert report.ga == pytest.approx(oracle.naive_ga(g), rel=REL_TOL)
-        assert report.h == pytest.approx(oracle.naive_h(g), rel=REL_TOL)
-        assert report.chi == pytest.approx(oracle.naive_chi(g), rel=REL_TOL)
+        assert (report.abc, report.ga, report.h, report.chi,
+                report.randic) == (oracle.naive_abc(g), oracle.naive_ga(g),
+                                   oracle.naive_h(g), oracle.naive_chi(g),
+                                   oracle.naive_randic(g))
         assert report.zagreb1 == oracle.naive_zagreb1(g)
         assert report.zagreb2 == oracle.naive_zagreb2(g)
 
     @given(st.integers(min_value=2, max_value=35), st.integers(),
            st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=60, deadline=None)
-    def test_r_pass_equals_full_report_and_oracle(self, n, seed, p):
+    def test_r_selectors_equal_oracle(self, n, seed, p):
         g = generate_random_connected(n, p, seed)
-        report = full_report(g)
-        assert _r_indices(g) == (report.r1, report.r2, report.r3) == \
+        assert (r1_index(g), r2_index(g), r3_index(g)) == \
             (oracle.naive_r1(g), oracle.naive_r2(g), oracle.naive_r3(g))
 
     @given(st.integers(min_value=2, max_value=35), st.integers(),
            st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=60, deadline=None)
-    def test_real_indices_bit_identical_to_sorted_edge_sum(self, n, seed, p):
-        """The per-degree-pair term cache changes no bit: each real index
-        equals, exactly, its per-edge terms summed over the sorted edges."""
+    def test_real_indices_equal_fsum_of_edge_terms(self, n, seed, p):
+        """Each real index equals, exactly, the correctly rounded sum of its
+        per-edge terms, with the per-degree-pair term cache cold or warm."""
         g = generate_random_connected(n, p, seed)
-        expected = sorted_edge_sums(g)
+        expected = edge_term_fsums(g)
         _edge_terms.cache_clear()
         cold = full_report(g)
         warm = full_report(g)
