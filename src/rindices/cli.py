@@ -124,6 +124,12 @@ def _parse_n_range(text):
             f"range must be 'a..b', got {text!r}") from None
     if lo > hi:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    # Here, not at the top: only verify reads families.
+    from .families import MIN_CLAIM_ORDER
+    if hi < MIN_CLAIM_ORDER:
+        raise argparse.ArgumentTypeError(
+            f"range {text!r} holds no order >= {MIN_CLAIM_ORDER}, the "
+            f"least any claim is stated for")
     return range(lo, hi + 1)
 
 

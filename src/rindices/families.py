@@ -154,27 +154,21 @@ def verify_family(family, n_range):
     n_range is an iterable of orders. The graph of each order is built
     once and its full_report, whose R indices are the only values a claim
     reads, is shared by every claim at that order; orders below
-    MIN_CLAIM_ORDER are skipped. Rows are sorted by (index, n, source).
+    MIN_CLAIM_ORDER are skipped. Rows come in (index, n, source) order:
+    RIndex order, ascending n, and each index's claims as VARIANTS lists
+    them, which is Source order.
     """
     family = Family(family)
     variants = variants_for(family)
-    rows = []
-    for n in sorted(set(n_range)):
-        if n < MIN_CLAIM_ORDER:
-            continue
-        report = full_report(generate_family(family, n))
-        for variant in variants:
-            rows.append(DiscrepancyRow(
-                family=family,
-                index=variant.index,
-                n=n,
-                source=variant.source,
-                claimed=variant.evaluate(n),
-                computed=getattr(report, variant.index.value),
-            ))
-    rank = {source: i for i, source in enumerate(Source)}
-    rows.sort(key=lambda r: (r.index.value, r.n, rank[r.source]))
-    return DiscrepancyReport(rows=tuple(rows))
+    orders = [n for n in sorted(set(n_range)) if n >= MIN_CLAIM_ORDER]
+    reports = [full_report(generate_family(family, n)) for n in orders]
+    return DiscrepancyReport(rows=tuple(
+        DiscrepancyRow(family=family, index=index, n=n,
+                       source=variant.source, claimed=variant.evaluate(n),
+                       computed=getattr(report, index.value))
+        for index in RIndex
+        for n, report in zip(orders, reports)
+        for variant in variants if variant.index is index))
 
 
 VERIFY_CSV_HEADER = "family,index,n,source,claimed,computed,verdict"

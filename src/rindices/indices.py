@@ -10,30 +10,32 @@ IndexReport, a named tuple; every other index function, and the
 closed-form verifier, selects fields of it. It reads only the R degrees
 r(v) of the degree table, which takes one neighbour-degree product per
 run of vertices with equal neighbour degrees, and none on a regular
-graph (see degrees). The exact indices are grouped by vertex, so each
-costs n big-integer products, plus m big additions for R2, instead of
-one big product per edge:
+graph (see degrees). The R indices are grouped by vertex, so each costs
+n big-integer products, plus m big additions for R2, instead of one big
+product per edge:
 
   R1 = sum_v r(v)^2            R3 = sum_v deg(v) r(v)
   R2 = sum_u r(u) * sum_{w in N(u), w > u} r(w)
-  Zagreb1 = sum_v deg(v)^2
-  Zagreb2 = sum_u deg(u) * sum_{w in N(u), w > u} deg(w)
 
-so Zagreb2 needs no sum degrees. R1, R3 and Zagreb1 are summed at C
-level, as sum(map(mul, ...)); the R2 upper sums stay Python loops, which
-ran faster on K_n than a map or a list comprehension.
+R1 and R3 are summed at C level, as sum(map(mul, ...)); the R2 upper
+sums stay Python loops, which ran faster on K_n than a map or a list
+comprehension.
 
-The five real-valued edge terms depend only on the degree pair of the
-edge (the edge-partition view of degree-based indices), so each pair's
-terms are evaluated once and kept in a bounded per-process cache. They
-are kept as exact fixed-point ints, the five packed in one int, and
-summed as ints, which is exact and associative; each sum is rounded to a
-float once, at the end. Every real index is thus math.fsum of its edge
-terms: correctly rounded, and the same whatever the edge order, the
-vertex labels or the Python version. On a k-regular graph every edge
-has the terms of (k, k), so full_report reads no adjacency there:
-R1 = n r^2, R2 = m r^2, R3 = 2m r, Zagreb1 = n k^2, Zagreb2 = m k^2, and
-the real sums are m times the packed terms.
+The seven classical indices are edge sums of a function of the degree
+pair (du, dv) of the edge (the edge-partition view of degree-based
+indices): Zagreb1 of du + dv, Zagreb2 of du * dv, and ABC, GA,
+harmonic, sum-connectivity and Randic of a real term. So each pair's
+seven terms are evaluated once, kept in a bounded per-process cache as
+lanes of one exact int, the real terms in fixed point, and the walk adds
+one int per edge. The sum is exact and associative; each real lane is
+rounded to a float once, at the end. Every real index is thus math.fsum
+of its double-precision edge terms: the correctly rounded sum of those
+terms, whatever the edge order, the vertex labels or the Python version.
+A term itself is rounded as it is computed (K_2's chi reads
+0.7071067811865475, one ulp below 2**-0.5). On a k-regular graph every
+edge has the terms of (k, k), so full_report reads no adjacency there:
+R1 = n r^2, R2 = m r^2, R3 = 2m r, and the seven classical sums are m
+times the packed terms.
 """
 
 import functools
@@ -106,7 +108,11 @@ def classical_extras(g):
 # A real edge term is at most 1, and 0 or at least 1 / (largest degree),
 # so with degrees below 2**75 its last bit is worth at least 2**-128: the
 # term times 2**128 is an exact int, at most 2**128. A lane of 176 bits
-# holds the sum of 2**47 edges without a carry into the next.
+# holds the sum of 2**47 edges without a carry into the next. Above the
+# five real lanes are two plain ints: Zagreb1's lane sums du + dv, at
+# most 2m * (largest degree) <= 2m**2, so it holds 2**47 edges too, and
+# Zagreb2's sum of du * dv, at most m * (largest degree)**2, takes the
+# top lane, which has no bound.
 _FRACTION_BITS = 128
 _LANE_BITS = 176
 _LANE = (1 << _LANE_BITS) - 1
@@ -115,15 +121,16 @@ _ULP = 2.0 ** -_FRACTION_BITS
 
 
 # 64 * 64 ordered degree pairs cover every short-form graph6 graph, in
-# about 1.1 MB.
+# about 1.3 MB.
 @functools.lru_cache(maxsize=4096)
 def _edge_terms(du, dv):
-    """ABC, GA, harmonic, sum-connectivity and Randic terms of an edge
-    whose ends have degrees du and dv, each times 2**128, as one int of
-    five lanes, ABC in the lowest; see _LANE_BITS."""
+    """ABC, GA, harmonic, sum-connectivity, Randic, Zagreb1 and Zagreb2
+    terms of an edge whose ends have degrees du and dv, as one int of
+    seven lanes, ABC in the lowest and Zagreb2 in the top. The five real
+    terms are times 2**128; see _LANE_BITS."""
     s = du + dv
     p = du * dv
-    packed = 0
+    packed = p << _LANE_BITS | s
     for term in (1.0 / math.sqrt(p), 1.0 / math.sqrt(s), 2.0 / s,
                  2.0 * math.sqrt(p) / s, math.sqrt((s - 2) / p)):
         scaled = math.ldexp(term, _FRACTION_BITS)
@@ -146,26 +153,23 @@ def full_report(g):
         k, rk = deg[0], r[0]
         terms = m * _edge_terms(k, k)
         r1, r2, r3 = n * rk * rk, m * rk * rk, 2 * m * rk
-        zagreb1, zagreb2 = n * k * k, m * k * k
     else:
-        r2 = zagreb2 = terms = 0
+        r2 = terms = 0
         # Each edge uv with u < v is visited once, from u.
         for u, nbrs in enumerate(g.adjacency):
             du = deg[u]
-            r_upper = d_upper = 0
+            r_upper = 0
             for v in nbrs[bisect_right(nbrs, u):]:
                 r_upper += r[v]
-                dv = deg[v]
-                d_upper += dv
-                terms += _edge_terms(du, dv)
+                terms += _edge_terms(du, deg[v])
             r2 += r[u] * r_upper
-            zagreb2 += du * d_upper
         r1, r3 = sum(map(mul, r, r)), sum(map(mul, deg, r))
-        zagreb1 = sum(map(mul, deg, deg))
-    # A lane is an exact sum. Times _ULP, a power of two, it is rounded
-    # once, as the int converts to a float.
+    # A lane is an exact sum. Times _ULP, a power of two, a real lane is
+    # rounded once, as the int converts to a float. The two Zagreb lanes
+    # are read as ints, Zagreb2 with no mask.
     abc, ga, h, chi, randic = [(terms >> shift & _LANE) * _ULP
                                for shift in _SHIFTS]
+    zagreb2, zagreb1 = divmod(terms >> _SHIFTS.stop, 1 << _LANE_BITS)
     return IndexReport(n=n, m=m, r1=r1, r2=r2, r3=r3,
                        abc=abc, ga=ga, h=h, chi=chi,
                        zagreb1=zagreb1, zagreb2=zagreb2, randic=randic)

@@ -553,10 +553,18 @@ class TestVerify:
             assert f"{family}," in content
 
     def test_malformed_range_exit_2(self):
-        for text in ("3-10", "9..2"):
+        # No claim is stated below n = 3, so 1..2 would check nothing.
+        for text in ("3-10", "9..2", "1..2"):
             result = run_cli("verify", "cycle", "--n-range", text)
             assert result.returncode == 2
             assert repr(text) in result.stderr
+
+    def test_range_reaching_3_gives_its_rows(self):
+        result = run_cli("verify", "path", "--n-range", "2..3")
+        assert result.returncode == 0
+        rows = result.stdout.splitlines()[1:]
+        assert len(rows) == 9
+        assert {row.split(",")[2] for row in rows} == {"3"}
 
 
 class TestBatch:

@@ -122,6 +122,17 @@ class TestVerifyFamily:
             by_pair.setdefault((row.index, row.n), set()).add(row.computed)
         assert all(len(vals) == 1 for vals in by_pair.values())
 
+    def test_variants_listed_in_source_order(self):
+        # verify_family emits each (index, n)'s rows in VARIANTS order,
+        # which must be Source order.
+        rank = list(Source).index
+        for family in Family:
+            for index in RIndex:
+                sources = [v.source for v in variants_for(family)
+                           if v.index is index]
+                assert sources == sorted(sources, key=rank)
+                assert sources
+
     def test_one_build_per_order(self, monkeypatch):
         orders = []
 

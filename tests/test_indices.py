@@ -31,7 +31,7 @@ from rindices import (
     r_degree_table,
 )
 from rindices.families import variants_for
-from rindices.indices import _edge_terms
+from rindices.indices import _LANE, _LANE_BITS, _edge_terms
 from util import relabel
 
 REL_TOL = 1e-9
@@ -198,6 +198,30 @@ class TestFullReport:
         # rounded into the fixed-point sum.
         with pytest.raises(ArithmeticError, match="128 fraction bits"):
             _edge_terms(3 << 78, 1 << 80)
+
+    def test_zagreb_lanes_at_degree_2_to_40(self):
+        # The two integer lanes are plain du + dv and du * dv, not
+        # scaled; the five real lanes are the real terms times 2**128.
+        k = 1 << 40
+        s, p = 2 * k, k * k
+        real = [math.sqrt((s - 2) / p), 2 * math.sqrt(p) / s, 2 / s,
+                1 / math.sqrt(s), 1 / math.sqrt(p)]
+        assert lanes(_edge_terms(k, k)) == \
+            [int(math.ldexp(t, 128)) for t in real] + [1 << 41, 1 << 80]
+
+    @pytest.mark.parametrize("k", [3, 1 << 20])
+    def test_lanes_hold_2_to_47_edges_without_carry(self, k):
+        m = 2 ** 47 - 1
+        assert lanes(m * _edge_terms(k, k)) == \
+            [m * lane for lane in lanes(_edge_terms(k, k))]
+
+
+def lanes(packed):
+    """The seven lanes of a packed int, lowest first; the top one has no
+    mask."""
+    shifts = range(0, 6 * _LANE_BITS, _LANE_BITS)
+    return ([packed >> shift & _LANE for shift in shifts]
+            + [packed >> shifts.stop])
 
 
 
